@@ -20,7 +20,6 @@ import (
 
 	"gps"
 	"gps/internal/baselines"
-	"gps/internal/core"
 	"gps/internal/datasets"
 	"gps/internal/experiments"
 	"gps/internal/gen"
@@ -357,17 +356,6 @@ func BenchmarkEstimatePost100K(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		gps.EstimatePost(s)
-	}
-}
-
-// BenchmarkEstimatePost100KLookup is the same scan on the retained
-// hash-lookup reference path — the before/after pair recorded in
-// BENCH_PR3.json.
-func BenchmarkEstimatePost100KLookup(b *testing.B) {
-	s := estimate100KSampler(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.EstimatePostLookup(s)
 	}
 }
 

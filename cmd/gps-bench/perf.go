@@ -15,11 +15,10 @@ import (
 )
 
 // perfReport is the machine-readable perf snapshot written to
-// BENCH_PR3.json by scripts/bench.sh: per-edge update costs, the
-// post-stream estimation latency on both the slot-indexed fast path and
-// the hash-lookup reference, and the engine snapshot stalls under the
-// three dirtiness regimes. Every field is a single number so CI runs can
-// be diffed over time.
+// BENCH_PR*.json by scripts/bench.sh: per-edge update costs and the
+// engine snapshot stalls under the three dirtiness regimes, among the
+// rows below. Every field is a single number so CI runs can be diffed
+// over time.
 type perfReport struct {
 	Schema    string `json:"schema"`
 	Edges     int    `json:"edges"`
@@ -30,12 +29,6 @@ type perfReport struct {
 
 	// Sampling update paths, nanoseconds per edge over the full stream.
 	UpdateNSPerEdge map[string]float64 `json:"update_ns_per_edge"`
-
-	EstimatePost struct {
-		SlotMS   float64 `json:"slot_ms"`
-		LookupMS float64 `json:"lookup_ms"`
-		Speedup  float64 `json:"speedup"`
-	} `json:"estimate_post"`
 
 	Snapshot struct {
 		// Ingestion-blocked stall (barrier + clone) per dirtiness regime.
@@ -202,21 +195,6 @@ func perfBench(edges, sample, shards int, seed uint64, procs []int) (*perfReport
 	}
 	r.UpdateNSPerEdge["instream_triangle"] = n
 
-	// Post-stream estimation at m=sample: slot-indexed fast path vs the
-	// retained hash-lookup reference, same sampler state.
-	est, err := gps.NewSampler(gps.Config{Capacity: sample, Weight: gps.TriangleWeight, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	est.ProcessBatch(es)
-	slotT := timeBest(3, func() { core.EstimatePost(est) })
-	lookT := timeBest(3, func() { core.EstimatePostLookup(est) })
-	r.EstimatePost.SlotMS = ms(slotT)
-	r.EstimatePost.LookupMS = ms(lookT)
-	if slotT > 0 {
-		r.EstimatePost.Speedup = float64(lookT) / float64(slotT)
-	}
-
 	// Snapshot stalls: full (first snapshot, all shards dirty), clean
 	// (nothing ingested since), and 1-of-P dirty (traffic confined to one
 	// shard). Stall is the ingestion-blocked window reported by the engine,
@@ -339,9 +317,10 @@ func perfBench(edges, sample, shards int, seed uint64, procs []int) (*perfReport
 		w.Close()
 		return nil, err
 	}
+	w.Arrivals() // barrier: the shard drain is part of the measured window
 	r.WindowUpdateNSPerEdge = float64(time.Since(start).Nanoseconds()) / float64(len(turn))
 	qStart := time.Now()
-	if _, err := w.Query(0); err != nil {
+	if _, err := w.Estimate(0); err != nil {
 		w.Close()
 		return nil, err
 	}
@@ -480,8 +459,7 @@ func renderPerf(r *perfReport) string {
 	for _, k := range []string{"uniform", "triangle", "adjacency", "instream_triangle"} {
 		fmt.Fprintf(&b, "  %-20s %8.0f\n", k, r.UpdateNSPerEdge[k])
 	}
-	fmt.Fprintf(&b, "\nEstimatePost at m=%d: slot-indexed %.1fms, hash-lookup %.1fms  (%.2fx)\n",
-		r.SampleM, r.EstimatePost.SlotMS, r.EstimatePost.LookupMS, r.EstimatePost.Speedup)
+	b.WriteString("\n")
 	fmt.Fprintf(&b, "snapshot stall: full %.2fms (%d clones)   1-dirty %.2fms (%d clone, %.2fx of full)   clean %.2fms\n",
 		r.Snapshot.FullStallMS, r.Snapshot.FullCloned,
 		r.Snapshot.Dirty1StallMS, r.Snapshot.Dirty1Cloned, r.Snapshot.Dirty1OverFull,

@@ -48,18 +48,22 @@ const (
 	// releases, and decoders accept both (a Version document restores as
 	// undecayed). Version3 documents add the turnstile block — a feature
 	// flags word selecting the decay section and the deletion counters — and
-	// back the KindWindow pane-chain container; encoders emit Version3 only
-	// for state earlier versions cannot carry, so v1/v2 documents stay
-	// byte-identical and every state keeps exactly one serialized form.
+	// backed the first KindWindow layout (merged retired panes plus a live
+	// engine container); encoders emit Version3 only for state earlier
+	// versions cannot carry, so v1/v2 documents stay byte-identical and
+	// every state keeps exactly one serialized form. Version4 is the
+	// KindWindow layout of per-shard pane chains and is valid for that kind
+	// only; Version3 window documents still decode through a legacy reader.
 	Version  = 1
 	Version2 = 2
 	Version3 = 3
+	Version4 = 4
 
 	// Document kinds: the byte after the version selects the payload layout.
 	KindSampler  = 0x01 // one core.Sampler
 	KindEngine   = 0x02 // an engine.Parallel container of per-shard samplers
 	KindInStream = 0x03 // a core.InStream (sampler + estimator accumulators)
-	KindWindow   = 0x04 // an engine.Windowed pane chain (retired panes + active engine)
+	KindWindow   = 0x04 // a windowed engine.Parallel: window geometry plus per-shard pane chains
 	KindMulti    = 0x05 // a multi-stream container: a named directory of engine/window documents
 
 	// ContentType is the MIME type the service uses when a checkpoint
@@ -102,7 +106,7 @@ func NewWriter(w io.Writer, kind byte) *Writer {
 // pick Version2 when the payload carries forward-decay state.
 func NewWriterVersion(w io.Writer, kind, version byte) *Writer {
 	cw := &Writer{w: bufio.NewWriter(w)}
-	if version != Version && version != Version2 && version != Version3 {
+	if version < Version || version > Version4 {
 		cw.err = fmt.Errorf("checkpoint: cannot write unknown GPSC version %d", version)
 		return cw
 	}
@@ -236,19 +240,22 @@ func (r *Reader) Header() (kind byte, err error) {
 		return 0, r.fail(errors.New("checkpoint: not a GPSC document (bad magic)"))
 	}
 	switch hdr[len(magic)] {
-	case Version, Version2, Version3:
+	case Version, Version2, Version3, Version4:
 		r.version = hdr[len(magic)]
 	default:
 		return 0, r.fail(fmt.Errorf("checkpoint: unsupported GPSC version %d", hdr[len(magic)]))
 	}
 	kind = hdr[len(magic)+1]
+	if r.version == Version4 && kind != KindWindow {
+		return 0, r.fail(fmt.Errorf("checkpoint: GPSC version %d is defined for window documents only", Version4))
+	}
 	switch kind {
 	case KindSampler, KindEngine, KindInStream:
 		return kind, nil
 	case KindWindow:
-		if r.version != Version3 {
-			return 0, r.fail(fmt.Errorf("checkpoint: window document requires GPSC version %d, got %d",
-				Version3, r.version))
+		if r.version < Version3 {
+			return 0, r.fail(fmt.Errorf("checkpoint: window document requires GPSC version %d or %d, got %d",
+				Version3, Version4, r.version))
 		}
 		return kind, nil
 	case KindMulti:

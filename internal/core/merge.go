@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"gps/internal/graph"
 	"gps/internal/obs"
 	"gps/internal/order"
 )
@@ -32,6 +33,15 @@ import (
 // cfg.Capacity, carries summed arrival/duplicate counts, and is a fully
 // functional sampler: it can keep processing edges or feed any estimator.
 func Merge(samplers []*Sampler, cfg Config) (*Sampler, error) {
+	return MergeFiltered(samplers, cfg, nil)
+}
+
+// MergeFiltered is Merge over the entries that keep accepts: keep(i, e)
+// reports whether edge e of samplers[i] takes part. A rejected entry is
+// dropped before the merge exactly as a turnstile deletion would drop it —
+// it joins neither the sample nor the threshold, and the surviving entries
+// keep their inclusion probabilities. A nil keep accepts every entry.
+func MergeFiltered(samplers []*Sampler, cfg Config, keep func(i int, e graph.Edge) bool) (*Sampler, error) {
 	if len(samplers) == 0 {
 		return nil, errors.New("core: Merge requires at least one sampler")
 	}
@@ -74,9 +84,13 @@ func Merge(samplers []*Sampler, cfg Config) (*Sampler, error) {
 		m.evicts += s.evicts
 	}
 	entries := make([]order.Entry, 0, total)
-	for _, s := range samplers {
+	for si, s := range samplers {
 		for i := 0; i < s.res.Len(); i++ {
-			entries = append(entries, *s.res.heap.At(i))
+			ent := s.res.heap.At(i)
+			if keep != nil && !keep(si, ent.Edge) {
+				continue
+			}
+			entries = append(entries, *ent)
 		}
 	}
 	// Highest priority first; ties broken by edge key so the merge is a
@@ -104,4 +118,35 @@ func Merge(samplers []*Sampler, cfg Config) (*Sampler, error) {
 		}
 	}
 	return m, nil
+}
+
+// Split partitions a frozen sampler's reservoir into parts samplers by
+// route(edge) — the inverse of Merge for a sampler that will only ever
+// receive deletions again. Every part keeps s's capacity, weight, threshold
+// z* and a clone of its RNG state (no random draw is made), so each entry
+// keeps its inclusion probability min{1, w/z*} and merging the parts back
+// reproduces s's sample. The stream counters stay with part 0, so sums over
+// the parts equal s's. route must return an index in [0, parts). A part's
+// reservoir is sized to its entries, so a part must not sample again.
+func Split(s *Sampler, parts int, route func(graph.Edge) int) []*Sampler {
+	part := make([]int, s.res.Len())
+	sizes := make([]int, parts)
+	for i := range part {
+		part[i] = route(s.res.heap.At(i).Edge)
+		sizes[part[i]]++
+	}
+	out := make([]*Sampler, parts)
+	for i := range out {
+		c := *s
+		c.rng = s.rng.Clone()
+		c.res = newReservoir(sizes[i]) // sized to the part: it never grows again
+		if i > 0 {
+			c.arrivals, c.duplicates, c.delApplied, c.delUnsampled, c.accepts, c.evicts = 0, 0, 0, 0, 0, 0
+		}
+		out[i] = &c
+	}
+	for i, p := range part {
+		out[p].res.insert(*s.res.heap.At(i))
+	}
+	return out
 }

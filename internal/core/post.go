@@ -18,7 +18,7 @@ package core
 // loops then resolve every enumerated neighbor and triangle edge through
 // the adjacency slot runs — contiguous array reads, zero hash probes.
 // Enumeration and summation order match the lookup-based reference
-// (EstimatePostLookup) exactly, so the results are bit-identical, which the
+// (estimatePostLookup in reference_test.go) exactly, so the results are bit-identical, which the
 // equality tests assert.
 func EstimatePost(s *Sampler) Estimates {
 	if s.Decayed() {

@@ -4,15 +4,18 @@ import (
 	"testing"
 
 	"gps/internal/graph"
+	"gps/internal/order"
 	"gps/internal/stream"
 )
 
 // This file pins the slot-indexed estimation fast path against the
 // hash-lookup reference implementations, bit for bit: identical enumeration
-// and summation order means exact float64 equality, not tolerance.
-// EstimatePostLookup lives in the package (gps-bench measures it); the
-// remaining references are reconstructed here with the same parallelFor
-// chunking as their fast-path counterparts.
+// and summation order means exact float64 equality, not tolerance. The
+// references are the estimation path that predates the slot-indexed one:
+// every enumerated neighbor and triangle edge resolves its stored weight
+// through the reservoir's open-addressing hash index (Reservoir.entry)
+// instead of the adjacency slot runs, with the same parallelFor chunking as
+// the fast-path counterparts.
 
 // estimateLocalPostLookup mirrors EstimateLocalPost through the hash index.
 func estimateLocalPostLookup(s *Sampler) LocalTriangles {
@@ -183,7 +186,7 @@ func TestSlotPathBitExactVsLookup(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := referenceSampler(t, tc.weight, 0xD5)
 
-			if got, want := EstimatePost(s), EstimatePostLookup(s); got != want {
+			if got, want := EstimatePost(s), estimatePostLookup(s); got != want {
 				t.Errorf("EstimatePost diverges from lookup path:\n slot:   %+v\n lookup: %+v", got, want)
 			}
 
@@ -241,9 +244,110 @@ func TestSlotPathBitExactMidStream(t *testing.T) {
 	for i, e := range edges {
 		s.Process(e)
 		if cuts[i+1] {
-			if got, want := EstimatePost(s), EstimatePostLookup(s); got != want {
+			if got, want := EstimatePost(s), estimatePostLookup(s); got != want {
 				t.Fatalf("at %d edges: slot %+v vs lookup %+v", i+1, got, want)
 			}
 		}
 	}
 }
+
+// estimatePostLookup is the hash-lookup reference implementation of
+// EstimatePost. For any sampler state and fixed GOMAXPROCS it returns a
+// result bit-identical to EstimatePost, at the cost of one hash probe per
+// enumerated neighbor and per triangle membership test.
+func estimatePostLookup(s *Sampler) Estimates {
+	n := s.res.Len()
+	workers := estimateWorkers(n)
+	parts := make([]partial, workers)
+	parallelFor(n, workers, func(w, lo, hi int) {
+		var local partial
+		for i := lo; i < hi; i++ {
+			local.add(s.estimateEdgeLookup(s.res.heap.At(i).Edge))
+		}
+		parts[w] = local
+	})
+	return reduceEstimates(parts, n, s.arrivals)
+}
+
+// estimateEdgeLookup is estimateEdge resolving probabilities through the
+// hash index. The loop structure mirrors the pre-slot-path implementation.
+func (s *Sampler) estimateEdgeLookup(k graph.Edge) edgeTotals {
+	var t edgeTotals
+	q := 1.0
+	if ent := s.res.entry(k); ent != nil {
+		q = s.probForWeight(ent.Weight)
+	}
+	invQ := 1 / q
+
+	v1, v2 := k.U, k.V
+	if s.res.Degree(v1) > s.res.Degree(v2) {
+		v1, v2 = v2, v1
+	}
+
+	var cTriPairs float64
+	var cWPairs float64
+	var aK, bK, dK float64
+	var subWedge float64
+
+	s.res.Neighbors(v1, func(v3 graph.NodeID) bool {
+		if v3 == v2 {
+			return true
+		}
+		q1 := s.mustProb(v1, v3)
+		if e2 := s.res.entry(graph.NewEdge(v2, v3)); e2 != nil {
+			q2 := s.probForWeight(e2.Weight)
+			inv12 := 1 / (q1 * q2)
+			invAll := invQ * inv12
+			t.nTri += invAll
+			t.vTri += invAll * (invAll - 1)
+			t.cTri += cTriPairs * inv12
+			cTriPairs += inv12
+			aK += inv12
+			dK += inv12 * (1/q1 + 1/q2)
+			subWedge += invAll * (inv12 - 1)
+		}
+		invW := invQ / q1
+		t.nW += invW
+		t.vW += invW * (invW - 1)
+		t.cW += cWPairs / q1
+		cWPairs += 1 / q1
+		bK += 1 / q1
+		return true
+	})
+	s.res.Neighbors(v2, func(v3 graph.NodeID) bool {
+		if v3 == v1 {
+			return true
+		}
+		q2 := s.mustProb(v2, v3)
+		invW := invQ / q2
+		t.nW += invW
+		t.vW += invW * (invW - 1)
+		t.cW += cWPairs / q2
+		cWPairs += 1 / q2
+		bK += 1 / q2
+		return true
+	})
+
+	scale := 2 * invQ * (invQ - 1)
+	t.cTri *= scale
+	t.cW *= scale
+	t.covTW = invQ*(invQ-1)*(aK*bK-dK) + subWedge
+	return t
+}
+
+// mustProb returns the inclusion probability of the sampled edge {a,b} via
+// the hash index. The reference scans only present pairs that are edges of
+// the reservoir adjacency, so a missing heap entry means the reservoir
+// invariants are broken and panicking early is the right failure mode.
+func (s *Sampler) mustProb(a, b graph.NodeID) float64 {
+	ent := s.res.entry(graph.NewEdge(a, b))
+	if ent == nil {
+		panic("core: adjacency lists edge " + graph.NewEdge(a, b).String() + " missing from heap")
+	}
+	return s.probForWeight(ent.Weight)
+}
+
+// entry returns the heap record of edge e, or nil when not sampled — the
+// hash-probing lookup the slot-indexed estimation path exists to avoid. The
+// pointer is invalidated by the next insert/evict.
+func (r *Reservoir) entry(e graph.Edge) *order.Entry { return r.heap.Get(e.Key()) }

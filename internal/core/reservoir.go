@@ -95,15 +95,8 @@ func (r *Reservoir) cloneInto(dst *Reservoir) *Reservoir {
 	return dst
 }
 
-// entry returns the heap record of edge e, or nil when not sampled. The
-// pointer is invalidated by the next insert/evict. It is the hash-probing
-// lookup the slot-indexed estimation path exists to avoid; live uses are
-// the public Weight/Contains queries and the lookup-based reference
-// estimators the equality tests pin the fast path against.
-func (r *Reservoir) entry(e graph.Edge) *order.Entry { return r.heap.Get(e.Key()) }
-
 // entryAt returns the heap record stored at an arena slot obtained from a
-// neighbor run; same invalidation rule as entry.
+// neighbor run. The pointer is invalidated by the next insert/evict.
 func (r *Reservoir) entryAt(slot int32) *order.Entry { return r.heap.BySlot(slot) }
 
 // slotOf resolves edge e to its heap arena slot via the adjacency slot

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"gps/internal/core"
@@ -47,9 +49,17 @@ func FuzzEngineCheckpointDecoder(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 
-	// GPSC window-container seeds (KindWindow, v3): a windowed run with
-	// rotated panes and turnstile deletions, plus a fresh one.
+	// GPSC window-document seeds: a windowed run with rotated panes and
+	// turnstile deletions plus a fresh one (Version4, per-shard pane
+	// chains), and the committed Version3 fixture of the earlier
+	// pane-of-engines layout, which restores through the legacy reader.
 	f.Add([]byte("GPSC\x03\x04"))
+	f.Add([]byte("GPSC\x04\x04"))
+	legacy, err := os.ReadFile(filepath.Join("testdata", "window_v3.gpsc"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy)
 	for _, rotated := range []bool{false, true} {
 		w, err := NewWindowed(WindowConfig{Capacity: 64, Seed: 31, Shards: 2, PaneWidth: 50, Window: 150})
 		if err != nil {

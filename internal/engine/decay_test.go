@@ -32,7 +32,7 @@ func TestEngineDecayLandmarkAgreement(t *testing.T) {
 	defer p.Close()
 	feedBatches(p, edges, 1024)
 
-	if got := p.DecayHorizon(); got != 8499 {
+	if got := p.Horizon(); got != 8499 {
 		t.Fatalf("engine horizon %d, want 8499", got)
 	}
 	m, err := p.Merge()

@@ -95,6 +95,15 @@
 // bit-identical to what Merge would have produced at the same point, and
 // the result is immutable with respect to further ingestion.
 //
+// # Sliding windows
+//
+// Windowing is the engine's other time model (NewWindowed; mutually
+// exclusive with decay). Each shard owns a chain of per-pane samplers and
+// rotates it locally, in ring order, as event time passes pane boundaries;
+// deletions fan out to the shard's retired panes on the same goroutine. A
+// window query merges the shard panes overlapping the window once. There is
+// no standing snapshot: Snapshot and Merge report an error. See window.go.
+//
 // # Incremental (dirty-shard) snapshots
 //
 // Snapshots are incremental: each shard carries an epoch counter bumped on
@@ -195,8 +204,12 @@ type Parallel struct {
 	decay       bool
 	landmarked  bool
 	clock       uint64
-	horizon     atomic.Uint64 // max event time admitted; mutated under decayMu, read lock-free
+	horizon     atomic.Uint64 // max event time admitted (decay: under decayMu; window: CAS); read lock-free
 	landmarkVal atomic.Uint64 // pinned landmark L (0 = not pinned yet); read lock-free
+
+	// win is the sliding-window geometry, nil on plain engines; every shard
+	// of a windowed engine carries a pane chain (see window.go).
+	win *WindowConfig
 
 	// restartsTotal counts shard consumer restarts across all shards
 	// (see supervisor.go); read lock-free by Restarts and the metrics.
@@ -210,6 +223,10 @@ type Parallel struct {
 type shard struct {
 	ring *ring
 	s    *core.Sampler
+
+	// panes is the windowed shard's pane chain, whose active pane s samples;
+	// nil on plain engines.
+	panes *paneChain
 
 	// cfg is the per-shard sampler configuration (capacity share, derived
 	// seed) kept so the supervisor can rebuild the sampler from scratch
@@ -261,8 +278,9 @@ type shard struct {
 // drops to zero the clone is retired into the shard's pool and its backing
 // arrays feed the next CloneReusing.
 type shardRef struct {
-	s    *core.Sampler
-	refs int
+	s     *core.Sampler
+	panes *paneChain // windowed shards: a copy of the chain; replaced, never mutated
+	refs  int
 }
 
 // groupScratch is the reusable per-batch buffer of the shard-grouping
@@ -298,12 +316,13 @@ func (g *groupScratch) grow(n, shards int) {
 // all shards share cfg.Weight and call it concurrently, so a stateful
 // weight (e.g. NewAdaptiveTriangleWeight) must not be used here.
 func NewParallel(cfg core.Config, shards int) (*Parallel, error) {
-	return newParallel(cfg, shards, DefaultRingCapacity)
+	return newParallel(cfg, shards, DefaultRingCapacity, nil)
 }
 
 // newParallel is NewParallel with an explicit per-shard ring capacity
-// (tests use tiny rings to exercise wrap-around and producer stalls).
-func newParallel(cfg core.Config, shards, ringCap int) (*Parallel, error) {
+// (tests use tiny rings to exercise wrap-around and producer stalls) and an
+// optional window geometry (NewWindowed).
+func newParallel(cfg core.Config, shards, ringCap int, win *WindowConfig) (*Parallel, error) {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
@@ -314,6 +333,10 @@ func newParallel(cfg core.Config, shards, ringCap int) (*Parallel, error) {
 		cfg:    cfg,
 		shards: make([]*shard, shards),
 		decay:  cfg.Decay.Enabled(),
+		win:    win,
+	}
+	if win != nil {
+		win.Shards = shards
 	}
 	if cfg.Decay.Enabled() && cfg.Decay.Landmark != 0 {
 		p.landmarkVal.Store(cfg.Decay.Landmark)
@@ -332,6 +355,9 @@ func newParallel(cfg core.Config, shards, ringCap int) (*Parallel, error) {
 			return nil, err
 		}
 		p.shards[i] = &shard{ring: newRing(ringCap), s: s, cfg: scfg}
+		if win != nil {
+			p.shards[i].panes = &paneChain{}
+		}
 	}
 	p.startShards()
 	return p, nil
@@ -374,6 +400,9 @@ func (p *Parallel) Process(e graph.Edge) {
 	if p.closed.Load() {
 		panic("engine: Process on closed Parallel")
 	}
+	if p.win != nil {
+		p.observeHorizon([]graph.Edge{e})
+	}
 	if p.decay {
 		var one [1]graph.Edge
 		one[0] = e
@@ -388,11 +417,10 @@ func (p *Parallel) Process(e graph.Edge) {
 // ProcessBatch routes a batch of edges to their shards: one grouping pass
 // splits the batch into per-shard contiguous runs (order-preserving), and
 // each run is appended to its shard's ring. The batch is admitted
-// atomically with respect to Merge and Snapshot: a concurrent query sees
-// either none or all of it. It panics if p is closed. The error return is
-// always nil — admission cannot partially fail — and exists so Parallel
-// satisfies the Stream batch contract, where a windowed engine's rotation
-// can genuinely fail mid-batch.
+// atomically with respect to Merge, Snapshot and Estimate: a concurrent
+// query sees either none or all of it. On a closed engine it panics, except
+// that a windowed engine reports closure as the error of the Stream batch
+// contract; admission itself cannot partially fail.
 func (p *Parallel) ProcessBatch(edges []graph.Edge) error {
 	p.admit.RLock()
 	// Deferred so a panic escaping mid-admission (e.g. an injected
@@ -400,10 +428,16 @@ func (p *Parallel) ProcessBatch(edges []graph.Edge) error {
 	// admission lock. Batch granularity makes the defer cost negligible.
 	defer p.admit.RUnlock()
 	if p.closed.Load() {
+		if p.win != nil {
+			return errors.New("engine: ProcessBatch on closed Parallel")
+		}
 		panic("engine: ProcessBatch on closed Parallel")
 	}
 	if len(edges) == 0 {
 		return nil
+	}
+	if p.win != nil {
+		p.observeHorizon(edges)
 	}
 	if p.decay {
 		p.admitDecayed(edges)
@@ -511,29 +545,38 @@ func (p *Parallel) pinLandmark(ts uint64) {
 }
 
 // barrierLocked waits until every shard ring has drained and its sampler is
-// quiescent. Callers hold admit (write side), so no producer can append
-// while it runs. After Close the rings are already drained and the shard
-// goroutines stopped, so it is a no-op.
+// quiescent, then prunes windowed pane chains to the current horizon.
+// Callers hold admit (write side), so no producer can append while it runs.
+// After Close the rings are already drained and the shard goroutines
+// stopped, so the wait is a no-op.
 func (p *Parallel) barrierLocked() {
 	start := time.Now()
 	for _, sh := range p.shards {
 		sh.ring.drainWait()
 	}
 	p.met.barrierNS.Observe(uint64(time.Since(start)))
+	if p.win != nil {
+		p.prunePanesLocked()
+	}
 }
 
 // Shards returns the shard count P.
 func (p *Parallel) Shards() int { return len(p.shards) }
 
 // Arrivals returns the total number of distinct edges processed across all
-// shards. It synchronizes: all pending batches are processed first.
+// shards — on a windowed engine, the stream position (every record fed,
+// counted once). It synchronizes: all pending batches are processed first.
 func (p *Parallel) Arrivals() uint64 {
 	p.admit.Lock()
 	defer p.admit.Unlock()
 	p.barrierLocked()
 	var total uint64
 	for _, sh := range p.shards {
-		total += sh.s.Arrivals()
+		if sh.panes != nil {
+			total += sh.position()
+		} else {
+			total += sh.s.Arrivals()
+		}
 	}
 	return total
 }
@@ -543,7 +586,8 @@ func (p *Parallel) Arrivals() uint64 {
 // unsampled applied vacuously. It synchronizes like Arrivals. A deletion
 // record routes to the same shard as its insert (the partition hashes the
 // canonical edge identity, which ignores the deletion flag), so exactly one
-// shard accounts for each record.
+// shard accounts for each record — once per retained pane on a windowed
+// engine, where the shard fans the record out to its retired panes.
 func (p *Parallel) Deletions() (applied, unsampled uint64) {
 	p.admit.Lock()
 	defer p.admit.Unlock()
@@ -552,6 +596,13 @@ func (p *Parallel) Deletions() (applied, unsampled uint64) {
 		a, u := sh.s.Deletions()
 		applied += a
 		unsampled += u
+		if sh.panes != nil {
+			for i := range sh.panes.retired {
+				a, u := sh.panes.retired[i].deletions()
+				applied += a
+				unsampled += u
+			}
+		}
 	}
 	return applied, unsampled
 }
@@ -571,12 +622,15 @@ func (p *Parallel) Merge() (*core.Sampler, error) {
 	if p.closed.Load() {
 		return nil, errors.New("engine: Merge on closed Parallel")
 	}
+	if p.win != nil {
+		return nil, errNoStandingSnapshot
+	}
 	p.barrierLocked()
 	samplers := make([]*core.Sampler, len(p.shards))
 	for i, sh := range p.shards {
 		samplers[i] = sh.s
 	}
-	return p.merge(samplers)
+	return p.merge(samplers, nil)
 }
 
 // Snapshot drains all pending work, clones the shard reservoirs that
@@ -599,6 +653,10 @@ func (p *Parallel) Snapshot() (*core.Sampler, error) {
 	if p.closed.Load() {
 		p.admit.Unlock()
 		return nil, errors.New("engine: Snapshot on closed Parallel")
+	}
+	if p.win != nil {
+		p.admit.Unlock()
+		return nil, errNoStandingSnapshot
 	}
 	p.barrierLocked()
 	p.mu.Lock()
@@ -642,7 +700,7 @@ func (p *Parallel) Snapshot() (*core.Sampler, error) {
 	for i, r := range refs {
 		clones[i] = r.s
 	}
-	m, err := p.merge(clones)
+	m, err := p.merge(clones, nil)
 
 	p.mu.Lock()
 	for i, r := range refs {
@@ -687,6 +745,9 @@ func (p *Parallel) acquireCloneLocked(sh *shard, wg *sync.WaitGroup) (ref *shard
 	// sampler at exactly this consumer position — the anchor the supervisor
 	// needs to tell an exact restore from a lossy one.
 	sh.cloneHead = sh.ring.head.Load()
+	if sh.panes != nil {
+		ref.panes = sh.panes.clone() // shares the retired samplers: cheap
+	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -767,11 +828,11 @@ func (p *Parallel) DecayLandmark() (uint64, bool) {
 	return v, v != 0
 }
 
-// DecayHorizon returns the largest event time routed to any shard — the
-// horizon decayed estimates from a merge or snapshot at this moment would
-// target. It is tracked at admission (lock-free read; no ingestion stall)
-// and is 0 when decay is off.
-func (p *Parallel) DecayHorizon() uint64 { return p.horizon.Load() }
+// Horizon returns the largest event time admitted — the horizon decayed
+// estimates from a merge or snapshot at this moment would target, and the
+// end T of every window query. It is tracked at admission (lock-free read;
+// no ingestion stall) and is 0 on a plain undecayed engine.
+func (p *Parallel) Horizon() uint64 { return p.horizon.Load() }
 
 // ShardOf returns the shard index the given edge routes to: a
 // splitmix-mixed hash of the canonical edge key, independent of arrival
@@ -782,13 +843,14 @@ func (p *Parallel) ShardOf(e graph.Edge) int {
 }
 
 // merge runs the priority-sampling merge over the given shard samplers with
-// the derived merge seed. Safe without any engine lock when the samplers
-// are clones; for live shard samplers the caller must hold the admission
-// write lock with the rings drained.
-func (p *Parallel) merge(samplers []*core.Sampler) (*core.Sampler, error) {
+// the derived merge seed, over the entries keep accepts (nil: all; see
+// core.MergeFiltered). Safe without any engine lock when the samplers are
+// clones; for live shard samplers the caller must hold the admission write
+// lock with the rings drained.
+func (p *Parallel) merge(samplers []*core.Sampler, keep func(int, graph.Edge) bool) (*core.Sampler, error) {
 	mcfg := p.cfg
 	mcfg.Seed = p.mergeSeed
-	m, err := core.Merge(samplers, mcfg)
+	m, err := core.MergeFiltered(samplers, mcfg, keep)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}

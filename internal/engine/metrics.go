@@ -44,8 +44,13 @@ func (m *engineMetrics) init() {
 // lock-free atomics or take p.mu briefly; none of them touches the
 // admission lock, so scraping never stalls ingestion. labels (e.g. a
 // stream name) are stamped on every sample; the per-shard samples carry
-// them plus their shard label.
+// them plus their shard label. A windowed engine registers the gps_window_*
+// families instead.
 func (p *Parallel) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
+	if p.win != nil {
+		p.registerWindowMetrics(reg, labels...)
+		return
+	}
 	reg.RegisterGaugeFunc("gps_engine_shards", "Shard (and ring) count P.",
 		func() float64 { return float64(len(p.shards)) }, labels...)
 	reg.RegisterGaugeFunc("gps_engine_ring_capacity", "Per-shard ring capacity in edges.",

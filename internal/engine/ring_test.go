@@ -47,7 +47,7 @@ func TestBatchGroupingMatchesPerEdgeRouting(t *testing.T) {
 			edges := testStream(3000, 12000, 0x71)
 			cfg := core.Config{Capacity: 500, Weight: core.TriangleWeight, Seed: 0xBEEF, Decay: tc.decay}
 
-			batched, err := newParallel(cfg, 4, 64) // tiny ring: forces wraparound and chunked appends
+			batched, err := newParallel(cfg, 4, 64, nil) // tiny ring: forces wraparound and chunked appends
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +124,7 @@ func TestConcurrentShardDisjointProducersDeterministic(t *testing.T) {
 			sequential.ProcessBatch(stream)
 			want := mergedState(t, sequential)
 
-			concurrent, err := newParallel(cfg, shards, 128)
+			concurrent, err := newParallel(cfg, shards, 128, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -226,7 +226,7 @@ func TestRingCapacityValidation(t *testing.T) {
 // under load reports producer stalls.
 func TestRingStatsGauges(t *testing.T) {
 	cfg := core.Config{Capacity: 200, Seed: 7}
-	p, err := newParallel(cfg, 4, 32)
+	p, err := newParallel(cfg, 4, 32, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,140 +10,48 @@ import (
 )
 
 // Stream is the engine abstraction the serving layer programs against: one
-// live sampled graph stream, whatever its time model. Both engine shapes —
-// the plain sharded Parallel and the sliding-window Windowed chain —
-// implement it in full, so a server can host any mix of them behind one
-// registry without branching on concrete types.
-//
-// The interface has three parts:
-//
-//   - The data plane: Process/ProcessBatch feed records, Snapshot freezes an
-//     immutable query view (windowed engines answer per query instead and
-//     return an error here), Estimate answers a trailing-window query
-//     (plain engines return an error), WriteCheckpoint serializes the whole
-//     state, Close stops the shard goroutines.
-//
-//   - Telemetry: the ring/snapshot/checkpoint/supervisor readers every
-//     scrape and /v1/stats document needs. On a Windowed engine these read
-//     the live pane (rotation replaces it, so each call re-fetches), except
-//     for the window-specific accessors which cover the whole chain.
-//
-//   - Capability accessors: Decay*/WindowSpec report which time model the
-//     stream runs, with zero values on engines that lack the capability —
-//     callers branch on data, never on dynamic type.
+// live sampled graph stream, whatever its time model. Parallel is its one
+// implementation — plain, forward-decayed (NewParallel with Decay) or
+// windowed (NewWindowed) — and a server hosts any mix of them behind one
+// registry, branching on what the accessors report, never on types. The
+// methods are documented on Parallel.
 type Stream interface {
-	// Process feeds one record. It panics on a closed engine; prefer
-	// ProcessBatch, which reports closure as an error on windowed engines.
+	// The data plane. Windowed engines have no standing Snapshot (each
+	// Estimate merges the panes afresh); plain engines answer no Estimate.
+	// ProcessBatch reports a closed windowed engine as an error.
 	Process(e graph.Edge)
-	// ProcessBatch feeds a batch in stream order. A non-nil error means the
-	// batch was (partially) lost: the engine is closed, or a windowed pane
-	// rotation failed mid-batch.
 	ProcessBatch(edges []graph.Edge) error
-	// Snapshot returns an immutable merged sampler of the current state.
-	// Windowed engines have no standing snapshot (queries merge panes fresh
-	// per call) and return an error.
 	Snapshot() (*core.Sampler, error)
-	// Estimate answers a trailing-window query of win event-time units
-	// (0 means the configured maximum). Plain engines return an error:
-	// window queries need the pane chain.
 	Estimate(win uint64) (WindowEstimates, error)
+	WriteCheckpoint(w io.Writer, weightName string) (position uint64, err error)
+	Close()
 
-	// Arrivals is the position estimates are current to: distinct arrivals
-	// on a plain engine, the stream position (records fed, counted once) on
-	// a windowed one. Both barrier the live data plane.
+	// Positions and verdicts; each barriers the live data plane. Arrivals
+	// is the stream position on a windowed engine.
 	Arrivals() uint64
-	// Processed is the stream position a resume replays past: every record
-	// ever fed, duplicates included.
 	Processed() uint64
-	// Deletions reports the turnstile deletion verdicts (applied to a
-	// sampled edge vs vacuous). It barriers the live data plane; scrapes
-	// should prefer RetiredDeletions on windowed engines.
 	Deletions() (applied, unsampled uint64)
 
-	// WriteCheckpoint serializes the engine as one GPSC document (container
-	// documents for sharded and windowed state) and returns the stream
-	// position it covers.
-	WriteCheckpoint(w io.Writer, weightName string) (position uint64, err error)
-	// CheckpointStats reports checkpoints taken, shard blobs freshly
-	// encoded, and cached blobs reused.
+	// Telemetry for scrapes and /v1/stats.
 	CheckpointStats() (checkpoints, encoded, reused uint64)
-	// SnapshotStats reports snapshots taken, shards cloned, clean clones
-	// reused.
 	SnapshotStats() (snapshots, cloned, reused uint64)
-	// LastSnapshotStall is the ingestion stall of the most recent snapshot
-	// or checkpoint barrier.
 	LastSnapshotStall() time.Duration
-	// RingStats reads the per-shard ingest ring gauges (racy point-in-time
-	// values; windowed engines report the live pane's rings).
 	RingStats() RingStats
-	// Shards is the resolved shard count P.
 	Shards() int
-	// Capacity is the reservoir capacity m.
 	Capacity() int
-	// Health reports per-shard supervisor health and whether any shard has
-	// degraded (lost edges to a lossy recovery).
 	Health() (shards []ShardHealth, degraded bool)
-	// Restarts counts shard consumer panics recovered by the supervisor.
 	Restarts() uint64
-	// LostEdges counts edges dropped by lossy shard recoveries.
 	LostEdges() uint64
-	// Degraded reports whether any shard's sampler has diverged from the
-	// fault-free run (sticky).
 	Degraded() bool
-	// RegisterMetrics attaches the engine's metric families to reg, with
-	// the given labels on every sample — the hook multi-tenant registries
-	// use to distinguish streams within shared families.
 	RegisterMetrics(reg *obs.Registry, labels ...obs.Label)
 
-	// Decay reports the forward-decay configuration; the zero value means
-	// the stream is undecayed (always, on windowed engines).
+	// Capability accessors: the time model, with zero values (ok=false)
+	// on engines that lack it.
 	Decay() core.Decay
-	// DecayLandmark reports the pinned decay landmark; ok is false before
-	// pinning, and always on undecayed or windowed engines.
 	DecayLandmark() (landmark uint64, ok bool)
-	// DecayHorizon is the largest event time routed under decay (0 when
-	// undecayed or windowed).
-	DecayHorizon() uint64
-	// WindowSpec reports the sliding-window geometry; ok is false on plain
-	// engines.
 	WindowSpec() (cfg WindowConfig, ok bool)
-	// Panes is the number of retained panes (0 on plain engines).
 	Panes() int
-	// Horizon is the largest event time ingested into the pane chain (0 on
-	// plain engines; distinct from DecayHorizon).
 	Horizon() uint64
-	// RetiredDeletions sums deletion verdicts over the retired panes
-	// without barriering the live pane — the scrape-safe reader. Plain
-	// engines report zero (their verdicts live in query snapshots).
-	RetiredDeletions() (applied, unsampled uint64)
-
-	// Close drains and stops the shard goroutines. Idempotent.
-	Close()
 }
 
-// Compile-time proof that both engine shapes satisfy the interface.
-var (
-	_ Stream = (*Parallel)(nil)
-	_ Stream = (*Windowed)(nil)
-)
-
-// Estimate on a plain engine fails: trailing-window queries need the pane
-// chain a Windowed engine keeps. (Capability accessor counterpart:
-// WindowSpec reports ok=false.)
-func (p *Parallel) Estimate(win uint64) (WindowEstimates, error) {
-	return WindowEstimates{}, errNotWindowed
-}
-
-// WindowSpec reports that a plain engine has no sliding-window geometry.
-func (p *Parallel) WindowSpec() (WindowConfig, bool) { return WindowConfig{}, false }
-
-// Panes reports zero: a plain engine keeps no pane chain.
-func (p *Parallel) Panes() int { return 0 }
-
-// Horizon reports zero: the pane-chain event horizon does not exist on a
-// plain engine (the decayed event horizon is DecayHorizon).
-func (p *Parallel) Horizon() uint64 { return 0 }
-
-// RetiredDeletions reports zero: a plain engine has no retired panes; its
-// deletion verdicts are read from merged snapshots (Deletions barriers).
-func (p *Parallel) RetiredDeletions() (applied, unsampled uint64) { return 0, 0 }
+var _ Stream = (*Parallel)(nil)

@@ -25,6 +25,11 @@ import (
 // reproduces the pre-panic sampler bit for bit; estimates are then as if
 // the panic never happened.
 //
+// On a windowed shard the restored state is the whole pane chain: the
+// clone holds the chain's retired samplers (immutable, so shared) and a
+// copy of their tombstones, so a span that rotated or fanned a deletion out
+// before panicking replays onto the chain as it was.
+//
 // When edges were drained after the clone (cloneHead < head) those edges
 // are gone — the clone is still the best available state, so the
 // supervisor restores it, counts the gap as lost, and marks the shard
@@ -86,7 +91,11 @@ func (p *Parallel) consumeShard(sh *shard, streak *int) (done bool) {
 			}
 		}
 		start := obs.Start()
-		sh.s.ProcessBatch(edges)
+		if sh.panes == nil {
+			sh.s.ProcessBatch(edges)
+		} else {
+			p.drainPanes(sh, edges)
+		}
 		*streak = 0
 		if obs.Enabled {
 			p.met.drainNS.ObserveSince(start)
@@ -116,6 +125,9 @@ func (p *Parallel) recoverShard(idx int, sh *shard, streak *int) {
 			sh.degraded.Store(true)
 		}
 		restored = sh.lastClone.s.Clone()
+		if sh.panes != nil {
+			sh.panes = sh.lastClone.panes.clone()
+		}
 		// The restored sampler's content equals lastClone at the current
 		// consumer position — re-anchor so a future recovery counts only
 		// newly drained edges as lost.
@@ -146,6 +158,9 @@ func (p *Parallel) recoverShard(idx int, sh *shard, streak *int) {
 		// original and the whole backlog is still queued for replay.
 		sh.baseProcessed = 0 // the rebuilt sampler starts empty
 		restored = fresh
+		if sh.panes != nil {
+			sh.panes = &paneChain{}
+		}
 	}
 	sh.s = restored
 	if *streak >= maxPanicStreak {

@@ -1,11 +1,16 @@
 package engine
 
 import (
+	"bytes"
+	"io"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"gps/internal/core"
 	"gps/internal/fault"
+	"gps/internal/gen"
+	"gps/internal/graph"
 )
 
 // armFaults arms a fault spec for the duration of the test, skipping
@@ -299,5 +304,162 @@ func TestSupervisorMultiShardIsolation(t *testing.T) {
 		if keys[i] != wantKeys[i] {
 			t.Fatalf("merged sample diverged at edge %d", i)
 		}
+	}
+}
+
+// TestSupervisorWindowedExactRecovery: a windowed shard panics mid-span —
+// after the span has fanned a deletion out to the shard's retired panes and
+// rotated its active pane — with its last clone at the current consumer
+// position. Restoring the clone's whole pane chain and replaying the span
+// must reproduce the fault-free run bit for bit: window answers, deletion
+// verdicts and checkpoint bytes.
+func TestSupervisorWindowedExactRecovery(t *testing.T) { testSupervisorWindowed(t, false) }
+
+// TestSupervisorWindowedLossyRecovery: the same panic after records were
+// drained past the clone. Those records are lost: the engine counts them
+// and reports itself degraded, as for a plain shard.
+func TestSupervisorWindowedLossyRecovery(t *testing.T) { testSupervisorWindowed(t, true) }
+
+func testSupervisorWindowed(t *testing.T, lossy bool) {
+	base := dedupeEdges(gen.HolmeKim(300, 5, 0.4, 0xFA0B))
+	records, _ := turnstileWindowStream(base, 60)
+	span := uint64(len(base))
+	cut, from := len(records)/2, len(records)/2
+	if lossy {
+		from += 40 // drained after the clone, before the panic
+	}
+
+	// The panic comes from the weight function, on the first insert of
+	// the poisoned shard that follows a deletion and a pane crossing in the
+	// records after from.
+	var (
+		armed  atomic.Bool
+		poison uint64
+	)
+	weight := func(e graph.Edge, r *core.Reservoir) float64 {
+		if e.Key() == poison && armed.CompareAndSwap(true, false) {
+			panic("poisoned weight")
+		}
+		return core.TriangleWeight(e, r)
+	}
+	cfg := WindowConfig{Capacity: 120, Weight: weight, Seed: 23, Shards: 2, PaneWidth: span / 10, Window: span / 2}
+	w, err := NewWindowed(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	twin, err := NewWindowed(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Close()
+
+	shard := -1
+	for s := 0; s < 2 && shard < 0; s++ {
+		var active uint64
+		for _, e := range records[:from] {
+			if !e.Del && w.ShardOf(e) == s {
+				active = max(active, e.TS/cfg.PaneWidth)
+			}
+		}
+		sawDel, sawRotation := false, false
+		for _, e := range records[from:] {
+			switch {
+			case w.ShardOf(e) != s:
+			case e.Del:
+				sawDel = true
+			case e.TS/cfg.PaneWidth > active:
+				active, sawRotation = e.TS/cfg.PaneWidth, true
+			case sawDel && sawRotation:
+				poison, shard = e.Key(), s
+			}
+			if shard >= 0 {
+				break
+			}
+		}
+	}
+	if shard < 0 {
+		t.Fatal("no shard sees a deletion and a rotation before an insert")
+	}
+
+	for _, e := range []*Parallel{w, twin} {
+		if err := e.ProcessBatch(records[:cut]); err != nil {
+			t.Fatal(err)
+		}
+		// The checkpoint barrier clones every shard with the rings drained:
+		// the clone anchor sits at the consumer position.
+		if _, err := e.WriteCheckpoint(io.Discard, "triangle"); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.ProcessBatch(records[cut:from]); err != nil {
+			t.Fatal(err)
+		}
+		e.Arrivals() // drain the gap, if any, past the anchor
+	}
+	if len(w.shards[shard].panes.retired) == 0 {
+		t.Fatal("poisoned shard has no retired panes to fan the deletion out to")
+	}
+	if err := twin.ProcessBatch(records[from:]); err != nil {
+		t.Fatal(err)
+	}
+	twin.Arrivals() // the twin must score the poison unarmed
+	armed.Store(true)
+	if err := w.ProcessBatch(records[from:]); err != nil {
+		t.Fatal(err)
+	}
+	var lost uint64 // records of the poisoned shard drained past the anchor
+	for _, e := range records[cut:from] {
+		if w.ShardOf(e) == shard {
+			lost++
+		}
+	}
+	if got, want := w.Arrivals(), uint64(len(records))-lost; got != want {
+		t.Fatalf("stream position %d after recovery, want %d", got, want)
+	}
+	if armed.Load() {
+		t.Fatal("the poisoned insert was never scored")
+	}
+	if w.Restarts() != 1 {
+		t.Fatalf("restarts = %d, want 1", w.Restarts())
+	}
+
+	if lossy {
+		health, degraded := w.Health()
+		if !degraded || !health[shard].Degraded || w.LostEdges() != lost {
+			t.Fatalf("lossy recovery: degraded=%v health=%+v lost=%d, want degraded shard %d with %d lost",
+				degraded, health, w.LostEdges(), shard, lost)
+		}
+		return
+	}
+	if w.Degraded() || w.LostEdges() != 0 {
+		t.Fatalf("exact recovery left the engine degraded (lost=%d)", w.LostEdges())
+	}
+	for _, win := range []uint64{0, cfg.Window / 2} {
+		a, err := w.Estimate(win)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := twin.Estimate(win)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b {
+			t.Fatalf("window %d diverged after recovery:\n%+v\n%+v", win, a, b)
+		}
+	}
+	aA, aU := w.Deletions()
+	bA, bU := twin.Deletions()
+	if aA != bA || aU != bU {
+		t.Fatalf("deletion verdicts diverged after recovery: %d/%d vs %d/%d", aA, aU, bA, bU)
+	}
+	var got, want bytes.Buffer
+	if _, err := w.WriteCheckpoint(&got, "triangle"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := twin.WriteCheckpoint(&want, "triangle"); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("checkpoint after exact recovery differs from the fault-free run")
 	}
 }

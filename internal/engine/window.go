@@ -1,89 +1,67 @@
 package engine
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
-	"sync"
+	"maps"
 
-	"gps/internal/checkpoint"
 	"gps/internal/core"
 	"gps/internal/graph"
+	"gps/internal/obs"
 	"gps/internal/randx"
 )
 
-// Windowed is the sliding-window layer over the sharded engine: a chain of
-// time-partitioned panes, each a GPS sample of the edges whose event times
-// fall in one [i·PaneWidth, (i+1)·PaneWidth) interval. The youngest pane is
-// live — a full sharded Parallel consuming the stream — while older panes
-// are frozen samplers produced by the pane-rotation barrier. A window query
-// "the last w time units, exactly" merges the panes overlapping (T−w, T]
-// (T the event-time horizon) through the standard priority-sampling merge,
-// trimming the boundary pane to the window edge, and runs the post-stream
-// estimators over the merged sample. Panes that can no longer intersect any
-// admissible window are retired for good, bounding memory to
-// ~(Window/PaneWidth + 1) reservoirs regardless of stream length.
+// Sliding windows are a time model of Parallel, as forward decay is. Each
+// shard owns a chain of time-partitioned panes: its active sampler (shard.s)
+// samples the shard's edges whose event times fall in the active pane
+// [i·PaneWidth, (i+1)·PaneWidth), and its retired pane samplers hold the
+// shard's sample of each earlier pane. Routing hashes the edge identity, and
+// a deletion routes to the same shard as its insert, so every pane event is
+// shard-local:
 //
-// Rotation reuses the engine's barrier machinery: when an arriving edge's
-// event time crosses the active pane's end, the active Parallel is drained
-// (every ring empty, every shard quiescent — the same epoch-checked barrier
-// Merge and WriteCheckpoint take), merged into a single frozen sampler, and
-// closed; a fresh Parallel with a pane-derived seed opens for the new pane.
-// The whole run is a deterministic function of (Seed, stream order, Shards):
-// pane seeds derive from the root seed and the pane index alone, so a
-// crash-restart from a checkpoint replays into bit-identical panes.
+//   - Rotation: when a timed insert's pane index passes the active one, the
+//     shard goroutine retires the active sampler and opens a fresh one whose
+//     seed derives from the shard seed and the pane index — no merge, no
+//     barrier, no goroutine restart. The first timed insert only names the
+//     active pane: the provisional pane holds at most an untimed prefix.
+//   - Deletion fan-out: a deletion record rides the ring unsplit; the shard
+//     applies it to its active sampler and to every retired pane. A retired
+//     pane's sampler is immutable: the pane records a tombstone for an edge
+//     it holds and counts any other deletion as vacuous, so shard clones and
+//     checkpoints share retired samplers instead of copying them. Deletion
+//     draws no randomness, so the fan-out keeps runs deterministic.
+//   - Pruning: retired panes that can no longer intersect (T−Window, T] are
+//     dropped, T being the event-time horizon tracked at admission. Shards
+//     prune when they rotate and every barrier prunes all shards, so the
+//     state any reader observes is the same for every interleaving.
 //
-// Turnstile deletions interact with windowing by design: an insert's pane
-// is its event time's, but the matching deletion may arrive panes later, so
-// deletion records fan out — applied to every retained frozen pane
-// synchronously and fed to the live pane like any record. Deletion is
-// deterministic on every pane (no RNG draw, no threshold change), so the
-// fan-out preserves determinism.
+// A window query (Estimate) barriers, gathers every shard's panes overlapping
+// (T−w, T], and merges them once through core.MergeFiltered, dropping edges
+// outside the window by stored event time and tombstoned edges — both
+// exactly as a turnstile deletion would, so surviving edges keep their
+// inclusion probabilities. Algorithm 2 runs after admission is released.
+// Late arrivals land in the active pane, and because trimming goes by stored
+// event time they still count toward exactly the windows they belong to.
 //
-// Windowed methods are safe for concurrent use but coarsely serialized: one
-// mutex covers ingest, rotation and queries. The underlying Parallel still
-// fans sampling out across shards; the serialization is the routing and the
-// pane bookkeeping. Forward decay and windowing are mutually exclusive —
-// both reweight time, in incompatible ways.
-type Windowed struct {
-	mu  sync.Mutex
-	cfg WindowConfig
+// Retired panes stay per shard (capacity shardCapacity(m, P) each), so the
+// merge sees the union of per-shard samples. GPS separates sampling from
+// estimation: the window answer is Algorithm 2 over the priority-sampling
+// merge of the samples overlapping the window, wherever they were frozen.
 
-	active    *Parallel
-	activeIdx uint64 // pane index of the active pane
-	started   bool   // a timed edge has established the pane clock
-
-	// retired panes in ascending pane-index order; each holds the merged,
-	// frozen sampler of a completed pane (still receiving deletion fan-out).
-	retired []windowPane
-
-	horizon   uint64 // max event time seen (T)
-	processed uint64 // records ever fed (the stream position a resume skips)
-	closed    bool
-}
-
-// windowPane is one completed pane of the chain.
-type windowPane struct {
-	idx uint64 // pane index: covers [idx·PaneWidth, (idx+1)·PaneWidth)
-	s   *core.Sampler
-}
-
-// WindowConfig parameterizes a Windowed engine.
+// WindowConfig parameterizes a windowed engine.
 type WindowConfig struct {
-	// Capacity is the reservoir size m of each pane (and of merged query
-	// results).
+	// Capacity is the reservoir size m of merged query results; each shard
+	// pane holds shardCapacity(m, Shards).
 	Capacity int
 	// Weight is the sampling weight function shared by every pane; nil means
 	// uniform. Stream-independent weights keep pane merges exact (see
 	// core.Merge); topology-dependent weights are approximate exactly as
 	// they are under sharding.
 	Weight core.WeightFunc
-	// Seed makes the whole windowed run deterministic; pane seeds derive
-	// from it and the pane index.
+	// Seed makes the whole windowed run deterministic; shard and pane seeds
+	// derive from it.
 	Seed uint64
-	// Shards is the live pane's Parallel shard count (<= 0 means
-	// GOMAXPROCS).
+	// Shards is the shard count P (<= 0 means GOMAXPROCS).
 	Shards int
 	// PaneWidth is the width of one pane in event-time units (> 0).
 	PaneWidth uint64
@@ -108,132 +86,211 @@ func (cfg WindowConfig) validate() error {
 	return nil
 }
 
-// NewWindowed returns a windowed engine with an open (empty) first pane.
-func NewWindowed(cfg WindowConfig) (*Windowed, error) {
+// The two capability errors of the Stream interface: asking a plain engine
+// for a window query, or a windowed engine for a standing snapshot.
+var (
+	errNotWindowed        = errors.New("engine: window queries need a windowed engine")
+	errNoStandingSnapshot = errors.New("engine: a windowed engine has no standing snapshot (queries merge panes fresh)")
+)
+
+// NewWindowed returns a sharded engine running the sliding-window time
+// model, with every shard's first pane open and empty.
+func NewWindowed(cfg WindowConfig) (*Parallel, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	w := &Windowed{cfg: cfg}
-	active, err := w.openPane(0)
-	if err != nil {
-		return nil, err
-	}
-	w.active = active
-	// Pin the resolved shard count: later panes must match the first, and
-	// the checkpoint header records the count a restore validates against.
-	w.cfg.Shards = active.Shards()
-	return w, nil
+	return newParallel(core.Config{Capacity: cfg.Capacity, Weight: cfg.Weight, Seed: cfg.Seed},
+		cfg.Shards, DefaultRingCapacity, &cfg)
 }
 
-// paneSeed derives the deterministic root seed of pane idx: a mix of the
-// window seed and the pane index, so a pane's whole sampling run depends
-// only on (Seed, idx, stream order) — rotation history does not leak in.
-func (w *Windowed) paneSeed(idx uint64) uint64 {
-	return randx.Mix64(w.cfg.Seed ^ randx.Mix64(idx+0x9E3779B97F4A7C15))
+// paneChain is one shard's pane bookkeeping; the active pane's sampler is
+// shard.s. A chain is mutated only by its shard goroutine, or with the ring
+// drained under the admission write lock.
+type paneChain struct {
+	idx     uint64 // active pane index
+	started bool   // a timed insert has named the active pane
+	retired []pane // ascending index, all below idx
+	records uint64 // records drained into the shard: its share of the stream position
 }
 
-func (w *Windowed) openPane(idx uint64) (*Parallel, error) {
-	return NewParallel(core.Config{
-		Capacity: w.cfg.Capacity,
-		Weight:   w.cfg.Weight,
-		Seed:     w.paneSeed(idx),
-	}, w.cfg.Shards)
+// pane is one retired pane of a shard. Its sampler never changes again;
+// deletions arriving after retirement become tombstones.
+type pane struct {
+	idx     uint64              // covers [idx·PaneWidth, (idx+1)·PaneWidth)
+	s       *core.Sampler       // immutable once retired
+	dels    map[uint64]struct{} // keys of sampled edges deleted since retirement
+	vacuous uint64              // deletions since retirement of edges the pane does not hold
 }
 
-// paneIndex returns the pane a timed edge belongs to.
-func (w *Windowed) paneIndex(ts uint64) uint64 { return ts / w.cfg.PaneWidth }
-
-// ProcessBatch feeds a batch of turnstile records in stream order. Inserts
-// route to the live pane, advancing it first when their event time crosses
-// the pane end; deletion records fan out to every retained pane. Untimed
-// records (TS 0) ride the live pane without advancing the pane clock. Late
-// arrivals — event times behind the live pane — are tolerated: they land in
-// the live pane, and because queries trim by stored event time (not by
-// pane), they still count toward exactly the windows they belong to.
-func (w *Windowed) ProcessBatch(edges []graph.Edge) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return errors.New("engine: ProcessBatch on closed Windowed")
-	}
-	start := 0
-	for i, e := range edges {
-		if e.TS > w.horizon {
-			w.horizon = e.TS
+// delete applies a deletion record to the retired pane.
+func (r *pane) delete(e graph.Edge) {
+	k := e.Key()
+	if _, gone := r.dels[k]; !gone && r.s.Reservoir().Contains(e) {
+		if r.dels == nil {
+			r.dels = map[uint64]struct{}{}
 		}
-		if e.Del {
-			// Flush the pending insert run so the live pane sees records in
-			// stream order, then fan the deletion out. The live pane gets it
-			// through its ring (its shard owns the edge if this pane holds
-			// it); frozen panes apply it synchronously — no new inserts race
-			// them, so encounter order is stream order.
-			w.active.ProcessBatch(edges[start:i])
-			start = i + 1
-			for _, p := range w.retired {
-				p.s.Process(e)
-			}
-			w.active.Process(e)
-			continue
-		}
-		if e.TS != 0 {
-			if idx := w.paneIndex(e.TS); !w.started || idx > w.activeIdx {
-				w.active.ProcessBatch(edges[start:i])
-				start = i
-				if err := w.rotateTo(idx); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	w.active.ProcessBatch(edges[start:])
-	w.processed += uint64(len(edges))
-	return nil
-}
-
-// rotateTo closes the active pane and opens pane idx: the pane-rotation
-// barrier. The active Parallel is drained and merged (the same admission
-// barrier every engine query takes), its frozen sampler joins the retired
-// chain, panes that can no longer intersect (T−Window, T] are dropped, and
-// a fresh Parallel opens. The first timed edge skips the freeze: it names
-// the first real pane, and the provisional pane — holding at most an
-// untimed prefix, which belongs wherever the clock starts — is simply
-// renamed. Callers hold w.mu.
-func (w *Windowed) rotateTo(idx uint64) error {
-	if !w.started {
-		w.started = true
-		w.activeIdx = idx
-		return nil
-	}
-	frozen, err := w.active.Merge()
-	if err != nil {
-		return fmt.Errorf("engine: pane %d rotation: %w", w.activeIdx, err)
-	}
-	w.active.Close()
-	w.retired = append(w.retired, windowPane{idx: w.activeIdx, s: frozen})
-	w.activeIdx = idx
-	w.prune()
-	active, err := w.openPane(idx)
-	if err != nil {
-		return err
-	}
-	w.active = active
-	return nil
-}
-
-// prune drops retired panes that cannot intersect (T−Window, T] for the
-// current horizon T. Callers hold w.mu.
-func (w *Windowed) prune() {
-	if w.horizon <= w.cfg.Window {
+		r.dels[k] = struct{}{}
 		return
 	}
-	cut := w.horizon - w.cfg.Window // keep panes with end > cut
-	keep := w.retired[:0]
-	for _, p := range w.retired {
-		if (p.idx+1)*w.cfg.PaneWidth > cut {
-			keep = append(keep, p)
+	r.vacuous++
+}
+
+// deletions returns the pane's deletion verdicts, before and after
+// retirement.
+func (r *pane) deletions() (applied, unsampled uint64) {
+	a, u := r.s.Deletions()
+	return a + uint64(len(r.dels)), u + r.vacuous
+}
+
+// clone copies the chain for an immutable shard clone: retired samplers are
+// shared, tombstone sets copied.
+func (c *paneChain) clone() *paneChain {
+	d := *c
+	d.retired = make([]pane, len(c.retired))
+	for i, r := range c.retired {
+		r.dels = maps.Clone(r.dels)
+		d.retired[i] = r
+	}
+	return &d
+}
+
+// prune drops the retired panes that end at or before horizon−window.
+// Reports whether any pane was dropped.
+func (c *paneChain) prune(win *WindowConfig, horizon uint64) bool {
+	if horizon <= win.Window {
+		return false
+	}
+	cut := horizon - win.Window
+	keep := c.retired[:0]
+	for _, r := range c.retired {
+		if (r.idx+1)*win.PaneWidth > cut {
+			keep = append(keep, r)
 		}
 	}
-	w.retired = keep
+	clear(c.retired[len(keep):]) // release the dropped samplers
+	dropped := len(keep) < len(c.retired)
+	c.retired = keep
+	return dropped
+}
+
+// paneSeed derives the seed of a shard's pane idx from the shard seed, so a
+// pane's sampling run depends only on (Seed, shard, idx, stream order).
+func paneSeed(shardSeed, idx uint64) uint64 {
+	return randx.Mix64(shardSeed ^ randx.Mix64(idx+0x9E3779B97F4A7C15))
+}
+
+// observeHorizon raises the window horizon to the batch's largest event time
+// before the batch reaches any ring, so a shard that rotates on one of these
+// records prunes against a horizon at least that far along.
+func (p *Parallel) observeHorizon(edges []graph.Edge) {
+	var t uint64
+	for i := range edges {
+		if edges[i].TS > t {
+			t = edges[i].TS
+		}
+	}
+	for {
+		cur := p.horizon.Load()
+		if t <= cur || p.horizon.CompareAndSwap(cur, t) {
+			return
+		}
+	}
+}
+
+// drainPanes is the windowed shard drain: inserts feed the active sampler,
+// rotating it first when their pane index passes the active one, and
+// deletions also fan out to the retired panes. Untimed records ride the
+// active pane without advancing the pane clock.
+func (p *Parallel) drainPanes(sh *shard, edges []graph.Edge) {
+	c := sh.panes
+	start := 0
+	for i := range edges {
+		e := &edges[i]
+		if e.Del {
+			for j := range c.retired {
+				c.retired[j].delete(*e)
+			}
+			continue
+		}
+		if e.TS == 0 {
+			continue
+		}
+		if idx := e.TS / p.win.PaneWidth; !c.started || idx > c.idx {
+			sh.s.ProcessBatch(edges[start:i])
+			start = i
+			p.rotate(sh, idx)
+		}
+	}
+	sh.s.ProcessBatch(edges[start:])
+	c.records += uint64(len(edges))
+}
+
+// rotate opens pane idx on the shard: the active sampler joins the retired
+// panes and a fresh sampler takes its place. Runs on the shard goroutine.
+func (p *Parallel) rotate(sh *shard, idx uint64) {
+	c := sh.panes
+	if !c.started {
+		c.started, c.idx = true, idx
+		return
+	}
+	cfg := sh.cfg
+	cfg.Seed = paneSeed(sh.cfg.Seed, idx)
+	s, err := core.NewSampler(cfg)
+	if err != nil {
+		// The config built the shard's first sampler, so this cannot fail.
+		panic(fmt.Sprintf("engine: pane %d: %v", idx, err))
+	}
+	c.retired = append(c.retired, pane{idx: c.idx, s: sh.s})
+	sh.s, c.idx = s, idx
+	h := p.horizon.Load()
+	c.prune(p.win, h)
+	// The shard's clone shares its retired samplers; prune a copy of its
+	// chain too, so it does not keep dropped panes alive. Those panes are
+	// out of every window from here on, so a recovery from the pruned clone
+	// observes the same state as one from the original.
+	p.mu.Lock()
+	if a := sh.lastClone; a != nil {
+		if pruned := a.panes.clone(); pruned.prune(p.win, h) {
+			a.panes = pruned
+		}
+	}
+	p.mu.Unlock()
+}
+
+// prunePanesLocked prunes every shard's chain to the current horizon, so
+// what a barrier reader observes does not depend on when shards rotated.
+// Callers hold the admission write lock with the rings drained. A prune
+// changes the shard's state, so it bumps the epoch that keys its cached
+// clone.
+func (p *Parallel) prunePanesLocked() {
+	h := p.horizon.Load()
+	for _, sh := range p.shards {
+		if sh.panes.prune(p.win, h) {
+			sh.epoch.Add(1)
+		}
+	}
+}
+
+// forPanes calls visit on every shard pane that ends after cut — retired
+// panes with their tombstones, active panes with none — and returns the
+// number of distinct pane indices among them. A chain that no timed insert
+// has named holds only its provisional pane, which counts when no chain is
+// named. Callers hold the admission write lock with the rings drained.
+func (p *Parallel) forPanes(cut uint64, visit func(s *core.Sampler, dels map[uint64]struct{})) int {
+	seen := map[uint64]bool{}
+	for _, sh := range p.shards {
+		for _, r := range sh.panes.retired {
+			if (r.idx+1)*p.win.PaneWidth > cut {
+				visit(r.s, r.dels)
+				seen[r.idx] = true
+			}
+		}
+		visit(sh.s, nil)
+		if sh.panes.started {
+			seen[sh.panes.idx] = true
+		}
+	}
+	return max(len(seen), 1)
 }
 
 // WindowEstimates is the result of a window query: the post-stream motif
@@ -249,61 +306,64 @@ type WindowEstimates struct {
 	// Edges is Σ 1/q(k) over the merged in-window sample — the unbiased
 	// estimate of the number of in-window edges.
 	Edges float64
-	// Panes is the number of panes merged to answer the query.
+	// Panes is the number of distinct panes merged to answer the query.
 	Panes int
 	// Threshold is the merged sample's priority threshold z*.
 	Threshold float64
 }
 
-// Query estimates triangle and wedge counts over the trailing window of
-// width win event-time units (win == 0 means the configured maximum). It
-// merges every retained pane overlapping (T−win, T], trimming edges that
-// fall outside the window from the boundary panes, and runs the post-stream
-// estimators on the merged sample. Ingestion is blocked for the duration.
-func (w *Windowed) Query(win uint64) (WindowEstimates, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return WindowEstimates{}, errors.New("engine: Query on closed Windowed")
+// Estimate answers a trailing-window query of width win event-time units
+// (0 means the configured maximum): it merges every shard pane overlapping
+// (T−win, T], without the edges outside the window or tombstoned, and runs
+// the post-stream estimators on the merged sample. Ingestion is blocked for
+// the barrier and the merge; the estimators run after it resumes. Plain
+// engines return an error.
+func (p *Parallel) Estimate(win uint64) (WindowEstimates, error) {
+	if p.win == nil {
+		return WindowEstimates{}, errNotWindowed
 	}
 	if win == 0 {
-		win = w.cfg.Window
+		win = p.win.Window
 	}
-	if win > w.cfg.Window {
+	if win > p.win.Window {
 		return WindowEstimates{}, fmt.Errorf("engine: window %d exceeds the configured maximum %d (older panes are already retired)",
-			win, w.cfg.Window)
+			win, p.win.Window)
 	}
+	p.admit.Lock()
+	if p.closed.Load() {
+		p.admit.Unlock()
+		return WindowEstimates{}, errors.New("engine: Estimate on closed Parallel")
+	}
+	p.barrierLocked()
+	horizon := p.horizon.Load()
 	var cut uint64 // edges with 0 < TS <= cut are out of window
-	if w.horizon > win {
-		cut = w.horizon - win
+	if horizon > win {
+		cut = horizon - win
 	}
-	var samplers []*core.Sampler
-	for _, p := range w.retired {
-		if (p.idx+1)*w.cfg.PaneWidth <= cut {
-			continue // pane entirely out of window
-		}
-		samplers = append(samplers, trimPane(p.s, cut))
-	}
-	activeSnap, err := w.active.Snapshot()
-	if err != nil {
-		return WindowEstimates{}, err
-	}
-	samplers = append(samplers, trimPane(activeSnap, cut))
-
-	merged, err := core.Merge(samplers, core.Config{
-		Capacity: w.cfg.Capacity,
-		Weight:   w.cfg.Weight,
-		Seed:     randx.Mix64(w.cfg.Seed ^ 0xD6E8FEB86659FD93),
+	var (
+		samplers []*core.Sampler
+		dels     []map[uint64]struct{} // tombstones per sampler
+	)
+	panes := p.forPanes(cut, func(s *core.Sampler, d map[uint64]struct{}) {
+		samplers = append(samplers, s)
+		dels = append(dels, d)
 	})
+	merged, err := p.merge(samplers, func(i int, e graph.Edge) bool {
+		if e.TS != 0 && e.TS <= cut {
+			return false
+		}
+		_, gone := dels[i][e.Key()]
+		return !gone
+	})
+	p.admit.Unlock()
 	if err != nil {
 		return WindowEstimates{}, fmt.Errorf("engine: window merge: %w", err)
 	}
-	est := core.EstimatePost(merged)
 	res := WindowEstimates{
-		Estimates: est,
+		Estimates: core.EstimatePost(merged),
 		Window:    win,
-		Horizon:   w.horizon,
-		Panes:     len(samplers),
+		Horizon:   horizon,
+		Panes:     panes,
 		Threshold: merged.Threshold(),
 	}
 	merged.Reservoir().ForEachEdge(func(e graph.Edge) bool {
@@ -315,285 +375,42 @@ func (w *Windowed) Query(win uint64) (WindowEstimates, error) {
 	return res, nil
 }
 
-// trimPane returns a sampler holding only s's in-window edges (stored event
-// time beyond cut, or untimed). A pane with nothing to trim is returned
-// as-is; otherwise a clone is trimmed through the deterministic turnstile
-// deletion path, which leaves the surviving edges' inclusion probabilities
-// untouched — exactly the semantics a window boundary needs.
-func trimPane(s *core.Sampler, cut uint64) *core.Sampler {
-	if cut == 0 {
-		return s
+// WindowSpec reports the sliding-window geometry, with Shards resolved;
+// ok is false on plain engines.
+func (p *Parallel) WindowSpec() (WindowConfig, bool) {
+	if p.win == nil {
+		return WindowConfig{}, false
 	}
-	// Iterate the heap (Edges), not the adjacency index (ForEachEdge): the
-	// adjacency stores endpoints only, so edges it yields carry no event
-	// time and nothing would ever be trimmed.
-	var old []graph.Edge
-	for _, e := range s.Reservoir().Edges() {
-		if e.TS != 0 && e.TS <= cut {
-			old = append(old, e)
-		}
-	}
-	if len(old) == 0 {
-		return s
-	}
-	c := s.Clone()
-	for _, e := range old {
-		c.Process(e.AsDeletion())
-	}
-	return c
+	return *p.win, true
 }
 
-// Horizon returns the largest event time fed so far (T).
-func (w *Windowed) Horizon() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.horizon
+// Panes returns the number of distinct pane indices retained across the
+// shard chains (0 on plain engines). It synchronizes like Arrivals.
+func (p *Parallel) Panes() int {
+	if p.win == nil {
+		return 0
+	}
+	p.admit.Lock()
+	defer p.admit.Unlock()
+	p.barrierLocked()
+	return p.forPanes(0, func(*core.Sampler, map[uint64]struct{}) {})
 }
 
-// Processed returns the stream position: every record ever fed, counted
-// once (deletion fan-out does not multiply it). A resume replaying the
-// original stream must skip exactly this many records.
-func (w *Windowed) Processed() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.processed
-}
-
-// Panes returns the number of retained panes (retired plus the live one).
-func (w *Windowed) Panes() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.retired) + 1
-}
-
-// Config returns the window configuration (with Shards resolved).
-func (w *Windowed) Config() WindowConfig { return w.cfg }
-
-// Engine returns the live pane's Parallel engine — a point-in-time handle
-// for telemetry readers (ring stats, shard health). Rotation replaces the
-// live engine, so callers must re-fetch per read rather than hold on to it.
-func (w *Windowed) Engine() *Parallel {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.active
-}
-
-// Deletions returns the turnstile-deletion counters summed over the live
-// pane's shards and every retained frozen pane. Because deletions fan out,
-// one stream record can account once per retained pane.
-func (w *Windowed) Deletions() (applied, unsampled uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	applied, unsampled = w.active.Deletions()
-	for _, p := range w.retired {
-		a, u := p.s.Deletions()
-		applied += a
-		unsampled += u
-	}
-	return applied, unsampled
-}
-
-// RetiredDeletions returns the deletion counters summed over the retired
-// panes only. Unlike Deletions it never barriers the live engine — the
-// scrape-safe reader: the live pane's verdicts join these sums at its
-// rotation.
-func (w *Windowed) RetiredDeletions() (applied, unsampled uint64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, p := range w.retired {
-		a, u := p.s.Deletions()
-		applied += a
-		unsampled += u
-	}
-	return applied, unsampled
-}
-
-// Close drains and stops the live pane's shard goroutines. Further use
-// returns errors; Close is idempotent.
-func (w *Windowed) Close() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return
-	}
-	w.closed = true
-	w.active.Close()
-}
-
-// GPSC window payload (checkpoint.KindWindow, always Version3 — the kind
-// was introduced with the turnstile format):
-//
-//	uvarint  capacity m
-//	uvarint  shard count P
-//	u64      root seed
-//	uvarint  pane width
-//	uvarint  window
-//	uvarint  processed (stream position)
-//	uvarint  horizon T
-//	uvarint  started flag (0/1)
-//	uvarint  active pane index
-//	uvarint  retired pane count R
-//	R ×      uvarint pane index (ascending)
-//	u32      crc32 of the bytes above
-//	R ×      sampler document (complete GPSC KindSampler documents)
-//	1 ×      engine document (complete GPSC KindEngine container, the live
-//	         pane)
-//
-// Like the engine container, the header is its own checksummed document and
-// every embedded document carries its own checksum, so a restore validates
-// structure before trusting any field. One serialized form per state keeps
-// checkpoint → restore → checkpoint byte-identical.
-
-// WriteCheckpoint serializes the whole window chain as a GPSC window
-// document and returns the stream position it covers. The live pane is
-// serialized through the engine's own barrier-and-cache checkpoint path;
-// frozen panes serialize directly (they are quiescent by construction).
-func (w *Windowed) WriteCheckpoint(out io.Writer, weightName string) (position uint64, err error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return 0, errors.New("engine: WriteCheckpoint on closed Windowed")
-	}
-	cw := checkpoint.NewWriterVersion(out, checkpoint.KindWindow, checkpoint.Version3)
-	cw.Uvarint(uint64(w.cfg.Capacity))
-	cw.Uvarint(uint64(w.cfg.Shards))
-	cw.U64(w.cfg.Seed)
-	cw.Uvarint(w.cfg.PaneWidth)
-	cw.Uvarint(w.cfg.Window)
-	cw.Uvarint(w.processed)
-	cw.Uvarint(w.horizon)
-	if w.started {
-		cw.Uvarint(1)
-	} else {
-		cw.Uvarint(0)
-	}
-	cw.Uvarint(w.activeIdx)
-	cw.Uvarint(uint64(len(w.retired)))
-	for _, p := range w.retired {
-		cw.Uvarint(p.idx)
-	}
-	if err := cw.Finish(); err != nil {
-		return 0, err
-	}
-	for _, p := range w.retired {
-		if err := p.s.WriteCheckpoint(out, weightName); err != nil {
-			return 0, fmt.Errorf("engine: window pane %d: %w", p.idx, err)
-		}
-	}
-	if _, err := w.active.WriteCheckpoint(out, weightName); err != nil {
-		return 0, fmt.Errorf("engine: window live pane: %w", err)
-	}
-	return w.processed, nil
-}
-
-// maxWindowPanes bounds the retired-pane count a forged header can claim.
-const maxWindowPanes = 1 << 16
-
-// ReadWindowedCheckpoint restores a window chain from a GPSC window
-// document, returning the running engine and the recorded weight name. The
-// decoder is as strict as the documents it composes, and additionally
-// rejects pane indices out of order or beyond the active pane, geometry
-// disagreements between the header and the embedded engine document, and
-// trailing bytes.
-func ReadWindowedCheckpoint(r io.Reader, resolve func(string) (core.WeightFunc, error)) (*Windowed, string, error) {
-	return readWindowedDocument(bufio.NewReader(r), resolve, true)
-}
-
-// ReadWindowedDocument reads one window document from br and leaves the
-// reader positioned after it, for the KindMulti container which embeds
-// window documents back to back. Unlike ReadWindowedCheckpoint it does not
-// require EOF after the document.
-func ReadWindowedDocument(br *bufio.Reader, resolve func(string) (core.WeightFunc, error)) (*Windowed, string, error) {
-	return readWindowedDocument(br, resolve, false)
-}
-
-func readWindowedDocument(br *bufio.Reader, resolve func(string) (core.WeightFunc, error), requireEOF bool) (*Windowed, string, error) {
-	if resolve == nil {
-		resolve = core.ResolveWeight
-	}
-	cr := checkpoint.NewReader(br)
-	if err := cr.ExpectKind(checkpoint.KindWindow); err != nil {
-		return nil, "", err
-	}
-	capacity := cr.Count("capacity", maxEngineCapacity)
-	shards := cr.Count("shard count", maxEngineShards)
-	seed := cr.U64()
-	paneWidth := cr.Uvarint()
-	window := cr.Uvarint()
-	processed := cr.Uvarint()
-	horizon := cr.Uvarint()
-	startedFlag := cr.Uvarint()
-	activeIdx := cr.Uvarint()
-	numRetired := cr.Count("retired pane count", maxWindowPanes)
-	indices := make([]uint64, 0, min(numRetired, 1<<10))
-	for i := 0; i < numRetired && cr.Err() == nil; i++ {
-		indices = append(indices, cr.Uvarint())
-	}
-	if err := cr.Finish(); err != nil {
-		return nil, "", err
-	}
-	if startedFlag > 1 {
-		return nil, "", fmt.Errorf("engine: window checkpoint started flag %d is not boolean", startedFlag)
-	}
-	started := startedFlag == 1
-	cfg := WindowConfig{Capacity: capacity, Seed: seed, Shards: shards, PaneWidth: paneWidth, Window: window}
-	if err := cfg.validate(); err != nil {
-		return nil, "", err
-	}
-	for i, idx := range indices {
-		if i > 0 && idx <= indices[i-1] {
-			return nil, "", fmt.Errorf("engine: window checkpoint pane indices out of order (%d after %d)", idx, indices[i-1])
-		}
-		if idx >= activeIdx {
-			return nil, "", fmt.Errorf("engine: window checkpoint retired pane %d is not older than the active pane %d", idx, activeIdx)
-		}
-	}
-
-	var (
-		weightName string
-		retired    []windowPane
-	)
-	for i, idx := range indices {
-		var name string
-		wrap := func(n string) (core.WeightFunc, error) {
-			name = n
-			return resolve(n)
-		}
-		s, err := core.ReadCheckpoint(br, wrap)
-		if err != nil {
-			return nil, "", fmt.Errorf("engine: window pane %d: %w", idx, err)
-		}
-		if i == 0 {
-			weightName = name
-		} else if name != weightName {
-			return nil, "", fmt.Errorf("engine: window pane %d weight %q disagrees with %q", idx, name, weightName)
-		}
-		retired = append(retired, windowPane{idx: idx, s: s})
-	}
-	active, engineWeight, err := readParallelDocument(br, resolve, requireEOF)
-	if err != nil {
-		return nil, "", fmt.Errorf("engine: window live pane: %w", err)
-	}
-	if len(retired) > 0 && engineWeight != weightName {
-		active.Close()
-		return nil, "", fmt.Errorf("engine: window live pane weight %q disagrees with retired panes' %q", engineWeight, weightName)
-	}
-	weightName = engineWeight
-	if active.Capacity() != capacity || active.Shards() != shards {
-		active.Close()
-		return nil, "", fmt.Errorf("engine: window live pane geometry (m=%d P=%d) disagrees with the container (m=%d P=%d)",
-			active.Capacity(), active.Shards(), capacity, shards)
-	}
-	weightFn, _ := resolve(weightName)
-	cfg.Weight = weightFn
-	w := &Windowed{
-		cfg:       cfg,
-		active:    active,
-		activeIdx: activeIdx,
-		started:   started,
-		retired:   retired,
-		horizon:   horizon,
-		processed: processed,
-	}
-	return w, weightName, nil
+// registerWindowMetrics attaches the gps_window_* families that stand in for
+// the engine families on windowed streams; the pane count barriers like
+// Panes. labels (e.g. a stream name) are stamped on every sample.
+func (p *Parallel) registerWindowMetrics(reg *obs.Registry, labels ...obs.Label) {
+	wc := *p.win
+	reg.RegisterGaugeFunc("gps_window_width",
+		"Queryable window maximum, in event-time units.",
+		func() float64 { return float64(wc.Window) }, labels...)
+	reg.RegisterGaugeFunc("gps_window_pane_width",
+		"Window pane width, in event-time units.",
+		func() float64 { return float64(wc.PaneWidth) }, labels...)
+	reg.RegisterGaugeFunc("gps_window_panes",
+		"Distinct panes retained across the shard pane chains.",
+		func() float64 { return float64(p.Panes()) }, labels...)
+	reg.RegisterGaugeFunc("gps_window_horizon",
+		"Largest event time ingested (the horizon window queries end at).",
+		func() float64 { return float64(p.Horizon()) }, labels...)
 }

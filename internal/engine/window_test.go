@@ -2,9 +2,14 @@ package engine
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"gps/internal/checkpoint"
 	"gps/internal/core"
 	"gps/internal/exact"
 	"gps/internal/gen"
@@ -100,8 +105,8 @@ func TestWindowedQueryExactWhenSaturated(t *testing.T) {
 	}
 
 	survivors := survivorsOf(base, deleted)
-	for _, win := range []uint64{w.cfg.Window, w.cfg.Window / 2, w.cfg.PaneWidth + 3} {
-		est, err := w.Query(win)
+	for _, win := range []uint64{w.win.Window, w.win.Window / 2, w.win.PaneWidth + 3} {
+		est, err := w.Estimate(win)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,22 +122,22 @@ func TestWindowedQueryExactWhenSaturated(t *testing.T) {
 
 	// A late arrival — event time far behind the live pane — must still
 	// count toward exactly the windows its stored timestamp belongs to.
-	late := graph.NewEdgeAt(2000, 2001, span-w.cfg.PaneWidth)
+	late := graph.NewEdgeAt(2000, 2001, span-w.win.PaneWidth)
 	if err := w.ProcessBatch([]graph.Edge{late}); err != nil {
 		t.Fatal(err)
 	}
-	est, err := w.Query(w.cfg.Window)
+	est, err := w.Estimate(w.win.Window)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantWide, _, _ := exact.Windowed(append(survivors, late), w.cfg.Window, span)
+	wantWide, _, _ := exact.Windowed(append(survivors, late), w.win.Window, span)
 	if est.Edges != float64(wantWide) {
 		t.Fatalf("late arrival not counted: edges %v, want %d", est.Edges, wantWide)
 	}
 	// ... and not toward a window too narrow to contain it: the stored event
 	// time, not the pane it physically landed in, decides membership.
 	narrow := span - late.TS // window ending at span that excludes TS = late.TS
-	estNarrow, err := w.Query(narrow)
+	estNarrow, err := w.Estimate(narrow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +173,11 @@ func TestWindowedDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		full, err := w.Query(0)
+		full, err := w.Estimate(0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		half, err := w.Query(cfg.Window / 2)
+		half, err := w.Estimate(cfg.Window / 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +202,7 @@ func TestWindowedRetentionBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	maxPanes := int(w.cfg.Window/w.cfg.PaneWidth) + 2 // in-window panes + boundary + live
+	maxPanes := int(w.win.Window/w.win.PaneWidth) + 2 // in-window panes + boundary + live
 	rng := randx.New(0xBEE)
 	for ts := uint64(1); ts < 2000; ts++ {
 		u := graph.NodeID(rng.Intn(500))
@@ -278,7 +283,7 @@ func TestWindowedCrashRestartEquivalence(t *testing.T) {
 			// Both chains consume the identical suffix and must stay
 			// bit-identical: same query answers, same deletion counters, same
 			// re-checkpoint bytes.
-			for _, chain := range []*Windowed{w, restored} {
+			for _, chain := range []*Parallel{w, restored} {
 				if err := chain.ProcessBatch(records[cut:]); err != nil {
 					t.Fatal(err)
 				}
@@ -286,11 +291,11 @@ func TestWindowedCrashRestartEquivalence(t *testing.T) {
 			defer w.Close()
 			defer restored.Close()
 			for _, win := range []uint64{0, cfg.Window / 2} {
-				a, err := w.Query(win)
+				a, err := w.Estimate(win)
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err := restored.Query(win)
+				b, err := restored.Estimate(win)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -375,7 +380,7 @@ func TestWindowedValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Query(101); err == nil {
+	if _, err := w.Estimate(101); err == nil {
 		t.Fatal("query beyond the configured window accepted")
 	}
 	w.Close()
@@ -383,7 +388,7 @@ func TestWindowedValidation(t *testing.T) {
 	if err := w.ProcessBatch([]graph.Edge{graph.NewEdge(1, 2)}); err == nil {
 		t.Fatal("ProcessBatch accepted on closed Windowed")
 	}
-	if _, err := w.Query(0); err == nil {
+	if _, err := w.Estimate(0); err == nil {
 		t.Fatal("Query accepted on closed Windowed")
 	}
 	if _, err := w.WriteCheckpoint(&bytes.Buffer{}, "uniform"); err == nil {
@@ -441,7 +446,7 @@ func TestWindowedEstimatorAccuracyNRMSE(t *testing.T) {
 			if err := w.ProcessBatch(records); err != nil {
 				t.Fatal(err)
 			}
-			est, err := w.Query(window)
+			est, err := w.Estimate(window)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -457,5 +462,245 @@ func TestWindowedEstimatorAccuracyNRMSE(t *testing.T) {
 				t.Errorf("m=%d %s NRMSE %.4f exceeds committed bound %.3f", b.m, motif, nrmse, bound)
 			}
 		}
+	}
+}
+
+// legacyWindowStream regenerates the records behind testdata/window_v3.gpsc:
+// an Erdős–Rényi stream timed TS = 10+i, in which every 9th record from the
+// 60th on deletes the edge inserted 60 records earlier.
+func legacyWindowStream() []graph.Edge {
+	es := testStream(40, 700, 0xAB)
+	for i := range es {
+		es[i].TS = uint64(10 + i)
+		if i%9 == 7 && i >= 60 {
+			es[i] = es[i-60].At(es[i].TS).AsDeletion()
+		}
+	}
+	return es
+}
+
+// TestWindowedLegacyCheckpointRestores: testdata/window_v3.gpsc is a
+// Version3 window document of the earlier pane-of-engines layout, written by
+// NewWindowed(WindowConfig{Capacity: 96, Weight: core.TriangleWeight, Seed:
+// 31, Shards: 2, PaneWidth: 150, Window: 450}) after the first 600 records of
+// legacyWindowStream: three rotated panes that took deletions, plus a live
+// pane. testdata/window_v3.json holds that layout's Estimate(0) answer. The
+// legacy reader splits each merged pane per shard without a random draw, so
+// the restored engine must give the same answer; the live pane holds fewer
+// than m edges, so the old layout's live-pane merge excluded nothing and the
+// two query paths see the same candidates. Further ingest must then
+// round-trip through the current format byte for byte.
+func TestWindowedLegacyCheckpointRestores(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "window_v3.gpsc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw[4] != checkpoint.Version3 || raw[5] != checkpoint.KindWindow {
+		t.Fatalf("fixture header version %d kind %#x, want a Version3 window document", raw[4], raw[5])
+	}
+	answer, err := os.ReadFile(filepath.Join("testdata", "window_v3.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want struct {
+		Triangles, Wedges, Edges   float64
+		Window, Horizon, Processed uint64
+	}
+	if err := json.Unmarshal(answer, &want); err != nil {
+		t.Fatal(err)
+	}
+
+	w, name, err := ReadWindowedCheckpoint(bytes.NewReader(raw), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if name != "triangle" || w.Processed() != want.Processed || w.Horizon() != want.Horizon {
+		t.Fatalf("restored weight %q, position %d, horizon %d; want triangle, %d, %d",
+			name, w.Processed(), w.Horizon(), want.Processed, want.Horizon)
+	}
+	est, err := w.Estimate(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.Window != want.Window {
+		t.Fatalf("window %d, want %d", est.Window, want.Window)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{{"triangles", est.Triangles, want.Triangles}, {"wedges", est.Wedges, want.Wedges}, {"edges", est.Edges, want.Edges}} {
+		if rel := math.Abs(c.got-c.want) / c.want; !(rel <= 1e-9) {
+			t.Errorf("%s = %v, recorded %v (relative error %.3g)", c.name, c.got, c.want, rel)
+		}
+	}
+
+	records := legacyWindowStream()
+	if err := w.ProcessBatch(records[want.Processed:]); err != nil {
+		t.Fatal(err)
+	}
+	var doc bytes.Buffer
+	if _, err := w.WriteCheckpoint(&doc, name); err != nil {
+		t.Fatal(err)
+	}
+	if v := doc.Bytes()[4]; v != checkpoint.Version4 {
+		t.Fatalf("re-checkpoint wrote version %d, want %d", v, checkpoint.Version4)
+	}
+	restored, _, err := ReadWindowedCheckpoint(bytes.NewReader(doc.Bytes()), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	var again bytes.Buffer
+	if _, err := restored.WriteCheckpoint(&again, name); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(doc.Bytes(), again.Bytes()) {
+		t.Fatal("checkpoint of a legacy-restored engine is not byte-idempotent")
+	}
+	a, err := w.Estimate(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := restored.Estimate(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b || restored.Processed() != uint64(len(records)) {
+		t.Fatalf("round trip diverged: %+v vs %+v, position %d", a, b, restored.Processed())
+	}
+}
+
+// TestWindowedUnbiasedAndCalibrated is the windowed counterpart of core's
+// TestConfidenceIntervalCoverage: over many seeds on one turnstile stream,
+// at a capacity well below the in-window edge count, with P=2 shards,
+// rotations and deletions that fan out to retired panes, the mean
+// estimate/exact ratio of triangles, wedges and in-window edges must lie
+// within 3 standard errors of 1, and the 95% intervals of triangles and
+// wedges must cover the exact counts at least 85% of the time.
+func TestWindowedUnbiasedAndCalibrated(t *testing.T) {
+	if testing.Short() {
+		t.Skip("Monte-Carlo test skipped in -short mode")
+	}
+	base := dedupeEdges(gen.HolmeKim(400, 6, 0.5, 0xCA1))
+	randx.New(0xCA2).Shuffle(len(base), func(i, j int) { base[i], base[j] = base[j], base[i] })
+	records, deleted := turnstileWindowStream(base, 300)
+	span := uint64(len(base))
+	window := span / 2
+	wantEdges, wantTri, wantWedge := exact.Windowed(survivorsOf(base, deleted), window, span)
+	const m, trials = 250, 400
+	if wantEdges < 3*m || wantTri <= 0 {
+		t.Fatalf("stream does not exercise sub-saturated sampling: %d in-window edges, %d triangles", wantEdges, wantTri)
+	}
+
+	var tri, wedge, edges stats.Welford
+	hitTri, hitWedge := 0, 0
+	for trial := 0; trial < trials; trial++ {
+		w, err := NewWindowed(WindowConfig{Capacity: m, Weight: core.TriangleWeight, Seed: 0xCA3 + uint64(trial),
+			Shards: 2, PaneWidth: window / 3, Window: window})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.ProcessBatch(records); err != nil {
+			t.Fatal(err)
+		}
+		est, err := w.Estimate(0)
+		w.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tri.Add(est.Triangles / float64(wantTri))
+		wedge.Add(est.Wedges / float64(wantWedge))
+		edges.Add(est.Edges / float64(wantEdges))
+		if est.TriangleInterval().Contains(float64(wantTri)) {
+			hitTri++
+		}
+		if est.WedgeInterval().Contains(float64(wantWedge)) {
+			hitWedge++
+		}
+	}
+	for _, c := range []struct {
+		name string
+		w    *stats.Welford
+	}{{"triangles", &tri}, {"wedges", &wedge}, {"edges", &edges}} {
+		t.Logf("%s: mean ratio %.4f, SE %.4f", c.name, c.w.Mean(), c.w.StdErr())
+		if math.Abs(c.w.Mean()-1) > 3*c.w.StdErr() {
+			t.Errorf("%s: mean estimate/exact ratio %.4f is more than 3 SE (%.4f) from 1", c.name, c.w.Mean(), c.w.StdErr())
+		}
+	}
+	for _, c := range []struct {
+		name string
+		hits int
+	}{{"triangle", hitTri}, {"wedge", hitWedge}} {
+		rate := float64(c.hits) / trials
+		t.Logf("%s CI coverage %.3f", c.name, rate)
+		if rate < 0.85 {
+			t.Errorf("%s CI coverage %.3f < 0.85", c.name, rate)
+		}
+	}
+}
+
+// TestWindowedInterleavingInvariant: barriers, checkpoints (which clone the
+// shard chains) and window queries running concurrently with ingest must
+// not change what the engine computes. A windowed engine queried and
+// checkpointed while a producer feeds it ends in the same state, byte for
+// byte, as a twin fed the same records with no reader in between.
+func TestWindowedInterleavingInvariant(t *testing.T) {
+	base := dedupeEdges(gen.HolmeKim(400, 5, 0.4, 0x1A7))
+	records, _ := turnstileWindowStream(base, 80)
+	span := uint64(len(base))
+	cfg := WindowConfig{Capacity: 150, Weight: core.TriangleWeight, Seed: 61, Shards: 3,
+		PaneWidth: span / 12, Window: span / 3}
+	w, err := NewWindowed(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	twin, err := NewWindowed(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Close()
+
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < len(records); i += 29 {
+			if err := w.ProcessBatch(records[i:min(i+29, len(records))]); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for fed := false; !fed; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			fed = true
+		default:
+		}
+		if _, err := w.WriteCheckpoint(io.Discard, "triangle"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Estimate(cfg.Window / 2); err != nil {
+			t.Fatal(err)
+		}
+		w.Panes()
+		w.Deletions()
+	}
+	if err := twin.ProcessBatch(records); err != nil {
+		t.Fatal(err)
+	}
+	var got, want bytes.Buffer
+	if _, err := w.WriteCheckpoint(&got, "triangle"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := twin.WriteCheckpoint(&want, "triangle"); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("readers interleaved with ingest changed the windowed state")
 	}
 }

@@ -170,7 +170,7 @@ func WindowAccuracy(opts Options, cfg WindowConfig) ([]WindowRow, error) {
 					w.Close()
 					return nil, err
 				}
-				est, err := w.Query(win)
+				est, err := w.Estimate(win)
 				w.Close()
 				if err != nil {
 					return nil, err

@@ -245,16 +245,14 @@ func (s *Server) registerTenantMetrics(t *tenant) {
 			return 0
 		}, l...)
 	// The applied/unsampled deletion split needs the samplers' verdicts: on
-	// a plain stream it reads the latest snapshot; a windowed stream sums
-	// its retired panes lock-cheap (the live pane's verdicts join the sums
-	// at the next rotation — gps_serve_deletion_records_total is the exact
-	// record count in the meantime).
+	// a plain stream it reads the latest snapshot; a windowed stream has no
+	// snapshot, so it sums the shard panes behind an engine barrier.
 	windowed := t.windowed()
 	s.reg.RegisterCounterFunc("gps_core_deletions_applied_total",
-		"Turnstile deletions that removed a sampled edge, as of the latest snapshot (windowed: summed over retired panes).",
+		"Turnstile deletions that removed a sampled edge, as of the latest snapshot (windowed: summed over retained panes).",
 		func() uint64 {
 			if windowed {
-				a, _ := t.eng.RetiredDeletions()
+				a, _ := t.eng.Deletions()
 				return a
 			}
 			if sn := t.snaps.current(); sn != nil {
@@ -264,10 +262,10 @@ func (s *Server) registerTenantMetrics(t *tenant) {
 			return 0
 		}, l...)
 	s.reg.RegisterCounterFunc("gps_core_deletions_unsampled_total",
-		"Turnstile deletions of unsampled edges (applied vacuously), as of the latest snapshot (windowed: summed over retired panes).",
+		"Turnstile deletions of unsampled edges (applied vacuously), as of the latest snapshot (windowed: summed over retained panes).",
 		func() uint64 {
 			if windowed {
-				_, u := t.eng.RetiredDeletions()
+				_, u := t.eng.Deletions()
 				return u
 			}
 			if sn := t.snaps.current(); sn != nil {

@@ -14,9 +14,12 @@
 //	clients ◄─ GET /v1/estimate ◄─ snapshot cache (staleness-bounded)
 //
 // The server is multi-tenant: a registry of named streams, each with its
-// own engine (plain sharded, forward-decayed, or sliding-window), bounded
-// ingest queue, snapshot cache and metrics. Every /v1/* endpoint takes an
-// optional ?stream= selector; its absence addresses the always-present
+// own sharded engine (plain, forward-decayed, or sliding-window: one
+// engine type, three time models), bounded ingest queue, snapshot cache
+// and metrics. A windowed stream has no standing snapshot: its shards keep
+// per-shard pane chains, and every window query merges the panes
+// overlapping the window afresh (engine.Stream.Estimate). Every /v1/*
+// endpoint takes an optional ?stream= selector; its absence addresses the always-present
 // "default" stream, so a single-tenant deployment never sees the registry
 // and its wire traffic is identical to the pre-registry releases. Streams
 // are created and deleted at runtime via POST/DELETE /v1/streams/{name}
@@ -477,9 +480,9 @@ func (s *Server) ingestLoop(t *tenant) {
 					}
 				}()
 				if err := t.eng.ProcessBatch(it.edges); err != nil {
-					// A windowed rotation failure (merge on a faulted pane)
-					// loses the batch like a recovered panic would; the loop
-					// survives and the loss is visible in ingest_panics.
+					// A closed windowed engine loses the batch like a
+					// recovered panic would; the loss is visible in
+					// ingest_panics.
 					t.ingestPanics.Add(1)
 				}
 			}()

@@ -51,8 +51,8 @@ type StatsV1 struct {
 	// for ingest (serve-level, exact). The applied/unsampled split needs the
 	// samplers' verdicts: on a plain server it is read from the latest query
 	// snapshot (0 until one exists); on a windowed server it is summed over
-	// the pane chain, where the deletion fan-out counts one record once per
-	// retained pane.
+	// the shard pane chains, where the deletion fan-out counts one record
+	// once per retained pane.
 	DeletionRecords    uint64 `json:"deletion_records"`
 	DeletionsApplied   uint64 `json:"deletions_applied"`
 	DeletionsUnsampled uint64 `json:"deletions_unsampled"`
@@ -185,7 +185,7 @@ func streamStats(t *tenant) StreamStatsV1 {
 func (s *Server) statsV1() StatsV1 {
 	def := s.def
 	snapTaken, snapArrivals := def.snaps.last()
-	eng := def.eng // the live pane in windowed mode; re-fetched per call
+	eng := def.eng
 	snapshots, cloned, reused := eng.SnapshotStats()
 	ckpts, encoded, blobReused := eng.CheckpointStats()
 	rs := eng.RingStats()
@@ -249,7 +249,7 @@ func (s *Server) statsV1() StatsV1 {
 	}
 	if s.cfg.HalfLife > 0 {
 		st.DecayHalfLife = s.cfg.HalfLife
-		horizon := eng.DecayHorizon() // decay excludes windowing on the default stream
+		horizon := eng.Horizon() // decay excludes windowing on the default stream
 		st.DecayHorizon = &horizon
 	}
 	if !snapTaken.IsZero() {
@@ -347,8 +347,7 @@ func (s *Server) metricsPartition() (statsCovered, metricsOnly []string) {
 	}
 	if anyWindow {
 		// Windowed streams register the window families instead of the
-		// per-instance engine families: rotation replaces the live engine,
-		// so instruments bound to one Parallel would go stale mid-run.
+		// engine families (see the engine's RegisterMetrics).
 		statsCovered = append(statsCovered,
 			"gps_window_width",      // window
 			"gps_window_pane_width", // pane_width

@@ -1,8 +1,8 @@
 // Tenant construction and restore: the one place in the serving layer that
-// names the concrete engine shapes. Everything else in the package programs
-// against engine.Stream, so the per-stream capability branches (windowed vs
-// plain, decayed vs not) happen on data the interface reports — never on
-// dynamic types. A grep-gated test enforces the boundary.
+// names the concrete engine constructors and readers. Everything else in
+// the package programs against engine.Stream, so the per-stream capability
+// branches (windowed vs plain, decayed vs not) happen on data the interface
+// reports — never on dynamic types. A grep-gated test enforces the boundary.
 package serve
 
 import (
@@ -179,11 +179,14 @@ func (s *Server) streamConfig(spec StreamSpec) (Config, error) {
 }
 
 // newTenant constructs a fresh stream from its effective config — the one
-// constructor site where the concrete engine shapes are chosen.
+// constructor site where the time model is chosen.
 func newTenant(name string, cfg Config) (*tenant, error) {
-	var eng engine.Stream
+	var (
+		eng *engine.Parallel
+		err error
+	)
 	if cfg.Window > 0 {
-		win, err := engine.NewWindowed(engine.WindowConfig{
+		eng, err = engine.NewWindowed(engine.WindowConfig{
 			Capacity:  cfg.Capacity,
 			Weight:    cfg.Weight,
 			Seed:      cfg.Seed,
@@ -191,25 +194,36 @@ func newTenant(name string, cfg Config) (*tenant, error) {
 			PaneWidth: cfg.PaneWidth,
 			Window:    cfg.Window,
 		})
-		if err != nil {
-			return nil, err
-		}
-		eng = win
-		cfg.Shards = win.Config().Shards // resolve the <=0 GOMAXPROCS default
 	} else {
-		par, err := engine.NewParallel(core.Config{
+		eng, err = engine.NewParallel(core.Config{
 			Capacity: cfg.Capacity,
 			Weight:   cfg.Weight,
 			Seed:     cfg.Seed,
 			Decay:    core.Decay{HalfLife: cfg.HalfLife},
 		}, cfg.Shards)
-		if err != nil {
-			return nil, err
-		}
-		eng = par
-		cfg.Shards = par.Shards() // resolve the <=0 GOMAXPROCS default
 	}
+	if err != nil {
+		return nil, err
+	}
+	cfg.Shards = eng.Shards() // resolve the <=0 GOMAXPROCS default
 	return newTenantState(name, cfg, eng, 0), nil
+}
+
+// restoredTenant wraps an engine restored from a checkpoint document. The
+// document's configuration wins over cfg — restored reservoirs are only
+// meaningful under the capacity, weight, shards and time model they were
+// taken with.
+func restoredTenant(name string, cfg Config, eng *engine.Parallel, weightName string) *tenant {
+	cfg.Capacity = eng.Capacity()
+	cfg.Shards = eng.Shards()
+	cfg.HalfLife = eng.Decay().HalfLife
+	cfg.Window, cfg.PaneWidth = 0, 0
+	if wc, ok := eng.WindowSpec(); ok {
+		cfg.Seed, cfg.Window, cfg.PaneWidth = wc.Seed, wc.Window, wc.PaneWidth
+	}
+	cfg.WeightName = weightName
+	cfg.Weight, _ = WeightByName(weightName)
+	return newTenantState(name, cfg, eng, eng.Processed())
 }
 
 // peekKind sniffs the GPSC document kind without consuming the reader, so
@@ -230,45 +244,17 @@ func peekKind(br *bufio.Reader) (byte, error) {
 // tenant, preserving the pre-registry dispatch: the server's configured
 // time model (not the file) picks the reader, so restoring a plain engine
 // document into a -window server fails loudly instead of silently changing
-// the time model. The checkpoint's configuration wins — restored reservoirs
-// are only meaningful under the capacity/weight/shards (and decay/window
-// geometry) they were taken with.
+// the time model.
 func restoreSingle(br *bufio.Reader, cfg Config) (*tenant, error) {
-	var (
-		eng        engine.Stream
-		weightName string
-		position   uint64
-		err        error
-	)
+	read := engine.ReadParallelCheckpoint
 	if cfg.Window > 0 {
-		var win *engine.Windowed
-		win, weightName, err = engine.ReadWindowedCheckpoint(br, WeightByName)
-		if err != nil {
-			return nil, err
-		}
-		wc := win.Config()
-		cfg.Capacity = wc.Capacity
-		cfg.Shards = wc.Shards
-		cfg.Seed = wc.Seed
-		cfg.Window = wc.Window
-		cfg.PaneWidth = wc.PaneWidth
-		position = win.Processed()
-		eng = win
-	} else {
-		var par *engine.Parallel
-		par, weightName, err = engine.ReadParallelCheckpoint(br, WeightByName)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Capacity = par.Capacity()
-		cfg.Shards = par.Shards()
-		cfg.HalfLife = par.Decay().HalfLife
-		position = par.Processed()
-		eng = par
+		read = engine.ReadWindowedCheckpoint
 	}
-	cfg.WeightName = weightName
-	cfg.Weight, _ = WeightByName(weightName)
-	return newTenantState(defaultStream, cfg, eng, position), nil
+	eng, weightName, err := read(br, WeightByName)
+	if err != nil {
+		return nil, err
+	}
+	return restoredTenant(defaultStream, cfg, eng, weightName), nil
 }
 
 // restoreMulti restores a KindMulti container: a Version3 directory
@@ -276,8 +262,9 @@ func restoreSingle(br *bufio.Reader, cfg Config) (*tenant, error) {
 // ordinary engine/window documents back to back on the same reader. Each
 // stream's configuration is recovered from its own document, exactly as a
 // single-stream restore would; base supplies the server-wide fields
-// (queue depth, body limits) every tenant shares.
-func restoreMulti(br *bufio.Reader, base Config) ([]*tenant, error) {
+// (queue depth, body limits) every tenant shares. On error the engines
+// already restored are closed.
+func restoreMulti(br *bufio.Reader, base Config) (tenants []*tenant, err error) {
 	r := checkpoint.NewReader(br)
 	if err := r.ExpectKind(checkpoint.KindMulti); err != nil {
 		return nil, err
@@ -307,42 +294,26 @@ func restoreMulti(br *bufio.Reader, base Config) ([]*tenant, error) {
 	if err := r.Finish(); err != nil {
 		return nil, err
 	}
-	tenants := make([]*tenant, 0, len(entries))
+	defer func() {
+		if err != nil {
+			for _, t := range tenants {
+				t.eng.Close()
+			}
+			tenants = nil
+		}
+	}()
 	for _, e := range entries {
 		cfg := base
 		cfg.Streams = nil
 		cfg.RestoreFrom = ""
-		switch e.kind {
-		case checkpoint.KindEngine:
-			par, weightName, err := engine.ReadParallelDocument(br, WeightByName)
-			if err != nil {
-				return nil, fmt.Errorf("stream %q: %w", e.name, err)
-			}
-			cfg.Capacity = par.Capacity()
-			cfg.Shards = par.Shards()
-			cfg.HalfLife = par.Decay().HalfLife
-			cfg.Window, cfg.PaneWidth = 0, 0
-			cfg.WeightName = weightName
-			cfg.Weight, _ = WeightByName(weightName)
-			tenants = append(tenants, newTenantState(e.name, cfg, par, par.Processed()))
-		case checkpoint.KindWindow:
-			win, weightName, err := engine.ReadWindowedDocument(br, WeightByName)
-			if err != nil {
-				return nil, fmt.Errorf("stream %q: %w", e.name, err)
-			}
-			wc := win.Config()
-			cfg.Capacity = wc.Capacity
-			cfg.Shards = wc.Shards
-			cfg.Seed = wc.Seed
-			cfg.Window = wc.Window
-			cfg.PaneWidth = wc.PaneWidth
-			cfg.HalfLife = 0
-			cfg.WeightName = weightName
-			cfg.Weight, _ = WeightByName(weightName)
-			tenants = append(tenants, newTenantState(e.name, cfg, win, win.Processed()))
-		default:
+		if e.kind != checkpoint.KindEngine && e.kind != checkpoint.KindWindow {
 			return nil, fmt.Errorf("checkpoint: multi-stream directory lists stream %q with unknown kind %#x", e.name, e.kind)
 		}
+		eng, weightName, err := engine.ReadDocument(br, e.kind, WeightByName)
+		if err != nil {
+			return nil, fmt.Errorf("stream %q: %w", e.name, err)
+		}
+		tenants = append(tenants, restoredTenant(e.name, cfg, eng, weightName))
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("checkpoint: trailing bytes after %d stream documents", len(tenants))

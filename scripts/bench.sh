@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # bench.sh — record the perf trajectory.
 #
-# Runs the gps-bench perf experiment (sampling update paths, slot-indexed
-# vs lookup estimation, incremental snapshot stalls, the forward-decay
-# update/accuracy numbers, the windowed-turnstile ingest/query/accuracy
-# numbers, and the multi-tenant serve trajectory at 1/4/16 streams) and
+# Runs the gps-bench perf experiment (sampling update paths, incremental
+# snapshot stalls, the forward-decay update/accuracy numbers, the
+# windowed-turnstile ingest/query/accuracy numbers, and the multi-tenant
+# serve trajectory at 1/4/16 streams) and
 # writes the machine-readable report to a BENCH json, which CI uploads as
 # an artifact so successive PRs can be compared.
 #
