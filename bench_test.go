@@ -21,6 +21,7 @@ import (
 	"gps"
 	"gps/internal/baselines"
 	"gps/internal/datasets"
+	"gps/internal/engine"
 	"gps/internal/experiments"
 	"gps/internal/gen"
 	"gps/internal/graph"
@@ -549,4 +550,73 @@ func BenchmarkEngineCheckpoint1MIdle(b *testing.B) {
 	}
 	_, encoded, reused := p.CheckpointStats()
 	b.ReportMetric(float64(reused)/float64(encoded+reused), "blob-reuse-frac")
+}
+
+// --- Query-side merge benchmarks at the perfbench shapes ---
+
+// holmeKimCopies returns copies node-disjoint relabelled copies of one
+// Holme-Kim graph (20K nodes, k=5, p=0.5): the copies stream perfbench
+// feeds gps-serve.
+func holmeKimCopies(copies int) []graph.Edge {
+	const nodes = 20000
+	base := gen.HolmeKim(nodes, 5, 0.5, 1)
+	out := make([]graph.Edge, 0, copies*len(base))
+	for c := 0; c < copies; c++ {
+		off := graph.NodeID(c * nodes)
+		for _, e := range base {
+			out = append(out, graph.Edge{U: e.U + off, V: e.V + off})
+		}
+	}
+	return out
+}
+
+// BenchmarkEngineMerge20K measures one shard merge at the perfbench ingest
+// shape: a triangle-weighted m=20000 stream over 2 shards after four
+// Holme-Kim copies. Merge on an idle engine is the barrier (no wait) plus
+// the merge itself, so the figure is the merge cost.
+func BenchmarkEngineMerge20K(b *testing.B) {
+	p, err := gps.NewParallel(gps.Config{Capacity: 20000, Weight: gps.TriangleWeight, Seed: 9}, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	p.ProcessBatch(holmeKimCopies(4))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Merge(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e6, "ms/merge")
+}
+
+// BenchmarkEngineWindowQuery measures one window query at the perfbench
+// window shape: a uniform windowed stream (m=8192, 2 shards, 8 panes of
+// 16384 event-time units) after two window widths of timed inserts, one in
+// nine of them deleted a window width later. Each query merges every
+// shard's in-window panes, trims and runs Algorithm 2.
+func BenchmarkEngineWindowQuery(b *testing.B) {
+	const width = 1 << 17
+	p, err := engine.NewWindowed(engine.WindowConfig{Capacity: 1 << 13, Seed: 9, Shards: 2,
+		PaneWidth: width / 8, Window: width})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	edges := holmeKimCopies(3)[:2*width]
+	records := make([]graph.Edge, 0, len(edges)+len(edges)/9)
+	for g, e := range edges {
+		records = append(records, e.At(uint64(g+1)))
+		if d := g - width; d >= 0 && d%9 == 0 {
+			records = append(records, edges[d].At(uint64(g+1)).AsDeletion())
+		}
+	}
+	p.ProcessBatch(records)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Estimate(0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e6, "ms/query")
 }

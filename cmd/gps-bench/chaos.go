@@ -279,7 +279,7 @@ func chaosFaultedRun(cfg serve.Config, es []graph.Edge, seed uint64) (chaosRepor
 	fault.Disarm()
 
 	rep.Faulted = l.est
-	rep.Stats, err = chaosStats(l.ts.URL)
+	rep.Stats, err = fetchStats(l.ts.URL)
 	return rep, err
 }
 
@@ -293,7 +293,7 @@ func chaosPost(url string) (int, error) {
 	return resp.StatusCode, nil
 }
 
-func chaosStats(base string) (serve.StatsV1, error) {
+func fetchStats(base string) (serve.StatsV1, error) {
 	var st serve.StatsV1
 	resp, err := http.Get(base + "/v1/stats")
 	if err != nil {

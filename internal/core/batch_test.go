@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"gps/internal/order"
@@ -157,5 +158,39 @@ func TestMergeSingleAndErrors(t *testing.T) {
 	}
 	if m.Threshold() < s.Threshold() {
 		t.Errorf("merged threshold %v below shard threshold %v", m.Threshold(), s.Threshold())
+	}
+}
+
+// TestSelectFirst checks the merge's selection against a full sort: c[:k]
+// must hold exactly the k first candidates in merge order, for random,
+// presorted, reversed and all-equal-priority inputs and every kind of k.
+func TestSelectFirst(t *testing.T) {
+	rng := randx.New(11)
+	shapes := map[string]func(i, n int) float64{
+		"random":   func(int, int) float64 { return rng.Float64() },
+		"sorted":   func(i, _ int) float64 { return float64(i) },
+		"reversed": func(i, n int) float64 { return float64(n - i) },
+		"equal":    func(int, int) float64 { return 1 },
+	}
+	for name, prio := range shapes {
+		for _, n := range []int{1, 2, 17, 100, 3000} {
+			c := make([]mergeCand, n)
+			for i := range c {
+				c[i] = mergeCand{prio(i, n), uint64(rng.Intn(n/2 + 1)), int32(rng.Intn(3)), int32(i)}
+			}
+			want := slices.Clone(c)
+			slices.SortFunc(want, mergeCand.cmp)
+			for _, k := range []int{1, n / 3, n - 1, n} {
+				if k < 1 {
+					continue
+				}
+				got := slices.Clone(c)
+				selectFirst(got, k)
+				slices.SortFunc(got[:k], mergeCand.cmp)
+				if !slices.Equal(got[:k], want[:k]) {
+					t.Fatalf("%s n=%d k=%d: selected set differs from the sorted prefix", name, n, k)
+				}
+			}
+		}
 	}
 }

@@ -1,13 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"gps/internal/graph"
 	"gps/internal/obs"
-	"gps/internal/order"
 )
 
 // Merge combines the reservoirs of samplers that each processed a disjoint
@@ -32,6 +33,13 @@ import (
 // others are treated as excluded mass. The merged sampler has capacity
 // cfg.Capacity, carries summed arrival/duplicate counts, and is a fully
 // functional sampler: it can keep processing edges or feed any estimator.
+//
+// Cost: for N input entries and capacity m, O(N) to select the m admitted
+// entries, O(m log m) to sort and push them into the heap, and one bulk
+// adjacency build (graph.BuildAdjacency) — no total order over all N
+// entries and no per-edge adjacency insertion. Only when an edge held by
+// several inputs leaves slots free are the other N-m entries sorted too,
+// so the worst case is O(N log N).
 func Merge(samplers []*Sampler, cfg Config) (*Sampler, error) {
 	return MergeFiltered(samplers, cfg, nil)
 }
@@ -83,41 +91,132 @@ func MergeFiltered(samplers []*Sampler, cfg Config, keep func(i int, e graph.Edg
 		m.accepts += s.accepts
 		m.evicts += s.evicts
 	}
-	entries := make([]order.Entry, 0, total)
+	cand := make([]mergeCand, 0, total)
 	for si, s := range samplers {
 		for i := 0; i < s.res.Len(); i++ {
 			ent := s.res.heap.At(i)
 			if keep != nil && !keep(si, ent.Edge) {
 				continue
 			}
-			entries = append(entries, *ent)
+			cand = append(cand, mergeCand{ent.Priority, ent.Edge.Key(), int32(si), int32(i)})
 		}
 	}
-	// Highest priority first; ties broken by edge key so the merge is a
-	// deterministic function of the shard reservoirs.
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Priority != entries[j].Priority {
-			return entries[i].Priority > entries[j].Priority
-		}
-		return entries[i].Edge.Key() < entries[j].Edge.Key()
-	})
 
-	for _, ent := range entries {
-		if m.res.Len() < cfg.Capacity && !m.res.Contains(ent.Edge) {
-			m.res.insert(ent)
-			continue
-		}
-		// Excluded from the merged sample: its priority joins the
-		// threshold competition, exactly as if it had been evicted — and it
-		// counts as an eviction, keeping accepts-evicts equal to the fill.
-		if obs.Enabled {
-			m.evicts++
-		}
-		if ent.Priority > m.zstar {
-			m.zstar = ent.Priority
+	// Admit the candidates in merge order until the reservoir is full. Only
+	// the first Capacity of them can be admitted, so select those, sort just
+	// them and admit them in order. A duplicate key among them (an edge held
+	// by several inputs: its first copy wins) leaves slots free; the rest is
+	// then sorted once and admitted in order too, so the worst case stays
+	// O(N log N).
+	h := m.res.heap
+	admit := func(cs []mergeCand) {
+		for _, c := range cs {
+			if h.Len() < cfg.Capacity && !h.Contains(c.key) {
+				h.Push(*samplers[c.src].res.heap.At(int(c.pos)))
+				continue
+			}
+			m.exclude(c.prio)
 		}
 	}
+	head := min(cfg.Capacity, len(cand))
+	selectFirst(cand, head)
+	slices.SortFunc(cand[:head], mergeCand.cmp)
+	admit(cand[:head])
+	if h.Len() < cfg.Capacity {
+		slices.SortFunc(cand[head:], mergeCand.cmp)
+	}
+	admit(cand[head:])
+	// A fresh heap issues arena slots in push order, so slot i holds the
+	// i-th admitted edge — the annotation AddWithSlot would have recorded.
+	m.res.adj = graph.BuildAdjacency(h.Len(), func(slot int32) graph.Edge { return h.BySlot(slot).Edge })
 	return m, nil
+}
+
+// exclude accounts for an entry the merge leaves out: its priority joins
+// the threshold competition, exactly as if it had been evicted — and it
+// counts as an eviction, keeping accepts-evicts equal to the fill.
+func (s *Sampler) exclude(priority float64) {
+	if obs.Enabled {
+		s.evicts++
+	}
+	if priority > s.zstar {
+		s.zstar = priority
+	}
+}
+
+// mergeCand is one entry taking part in a merge: its priority and edge key
+// (the merge order) and where it lives — heap position pos of input src.
+type mergeCand struct {
+	prio     float64
+	key      uint64
+	src, pos int32
+}
+
+// cmp is the merge order: highest priority first, ties broken by edge key
+// so the merge is a deterministic function of the inputs, then by position
+// so the order is total even over an edge held twice at one priority.
+func (a mergeCand) cmp(b mergeCand) int {
+	switch {
+	case a.prio != b.prio:
+		if a.prio > b.prio {
+			return -1
+		}
+		return 1
+	case a.key != b.key:
+		return cmp.Compare(a.key, b.key)
+	case a.src != b.src:
+		return cmp.Compare(a.src, b.src)
+	}
+	return cmp.Compare(a.pos, b.pos)
+}
+
+// selectFirst reorders c so that c[:k] holds, in no particular order, the k
+// entries that come first in merge order: a quickselect with median-of-three
+// pivots, falling back to a full sort of the open range if the partitions
+// stay lopsided for too long, so the worst case is O(n log n).
+func selectFirst(c []mergeCand, k int) {
+	if k >= len(c) {
+		return
+	}
+	lo, hi := 0, len(c) // c[:lo] precedes c[lo:hi], which precedes c[hi:]
+	for budget := 2 * bits.Len(uint(len(c))); hi-lo > 16 && budget > 0; budget-- {
+		p := lo + partition(c[lo:hi])
+		switch {
+		case p == k:
+			return
+		case p < k:
+			lo = p + 1
+		default:
+			hi = p
+		}
+	}
+	slices.SortFunc(c[lo:hi], mergeCand.cmp)
+}
+
+// partition reorders c around a median-of-three pivot and returns the
+// pivot's final index: c[:i] precedes c[i] in merge order, c[i+1:] follows.
+func partition(c []mergeCand) int {
+	last := len(c) - 1
+	mid := last / 2
+	if c[mid].cmp(c[0]) < 0 {
+		c[mid], c[0] = c[0], c[mid]
+	}
+	if c[last].cmp(c[0]) < 0 {
+		c[last], c[0] = c[0], c[last]
+	}
+	if c[mid].cmp(c[last]) < 0 {
+		c[mid], c[last] = c[last], c[mid]
+	}
+	// c[last] is now the median of the three; Lomuto around it.
+	pivot, i := c[last], 0
+	for j := 0; j < last; j++ {
+		if c[j].cmp(pivot) < 0 {
+			c[i], c[j] = c[j], c[i]
+			i++
+		}
+	}
+	c[i], c[last] = c[last], c[i]
+	return i
 }
 
 // Split partitions a frozen sampler's reservoir into parts samplers by

@@ -1,9 +1,16 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+	"sort"
 	"testing"
 
+	"gps/internal/gen"
 	"gps/internal/graph"
+	"gps/internal/obs"
 	"gps/internal/order"
 	"gps/internal/stream"
 )
@@ -351,3 +358,275 @@ func (s *Sampler) mustProb(a, b graph.NodeID) float64 {
 // hash-probing lookup the slot-indexed estimation path exists to avoid. The
 // pointer is invalidated by the next insert/evict.
 func (r *Reservoir) entry(e graph.Edge) *order.Entry { return r.heap.Get(e.Key()) }
+
+// mergeReference is the incremental merge that predates the select-then-
+// build one: a total sort of every kept entry, then one heap push and one
+// adjacency insertion per admitted edge. MergeFiltered must return exactly
+// — heap layout, dense ids, threshold and counters — what it returns.
+func mergeReference(samplers []*Sampler, cfg Config, keep func(i int, e graph.Edge) bool) (*Sampler, error) {
+	if len(samplers) == 0 {
+		return nil, errors.New("core: Merge requires at least one sampler")
+	}
+	m, err := NewSampler(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, s := range samplers {
+		if s.decay != cfg.Decay {
+			return nil, fmt.Errorf("core: Merge decay config %+v disagrees with sampler's %+v", cfg.Decay, s.decay)
+		}
+		if s.landmarkSet {
+			if !m.landmarkSet {
+				m.landmark, m.landmarkSet = s.landmark, true
+			} else if m.landmark != s.landmark {
+				return nil, fmt.Errorf("core: Merge landmark disagreement: %d vs %d (shards must share the decay landmark)",
+					m.landmark, s.landmark)
+			}
+		}
+		if s.lastTS > m.lastTS {
+			m.lastTS = s.lastTS
+		}
+	}
+
+	total := 0
+	for _, s := range samplers {
+		total += s.res.Len()
+		if s.zstar > m.zstar {
+			m.zstar = s.zstar
+		}
+		m.arrivals += s.arrivals
+		m.duplicates += s.duplicates
+		m.delApplied += s.delApplied
+		m.delUnsampled += s.delUnsampled
+		m.accepts += s.accepts
+		m.evicts += s.evicts
+	}
+	entries := make([]order.Entry, 0, total)
+	for si, s := range samplers {
+		for i := 0; i < s.res.Len(); i++ {
+			ent := s.res.heap.At(i)
+			if keep != nil && !keep(si, ent.Edge) {
+				continue
+			}
+			entries = append(entries, *ent)
+		}
+	}
+	sort.Slice(entries, func(i, j int) bool {
+		if entries[i].Priority != entries[j].Priority {
+			return entries[i].Priority > entries[j].Priority
+		}
+		return entries[i].Edge.Key() < entries[j].Edge.Key()
+	})
+
+	for _, ent := range entries {
+		if m.res.Len() < cfg.Capacity && !m.res.Contains(ent.Edge) {
+			m.res.insert(ent)
+			continue
+		}
+		if obs.Enabled {
+			m.evicts++
+		}
+		if ent.Priority > m.zstar {
+			m.zstar = ent.Priority
+		}
+	}
+	return m, nil
+}
+
+// mergeInputs builds one sampler per part of edges, edge i going to part
+// route(i), part p seeded seed+p.
+func mergeInputs(t *testing.T, cfg Config, parts int, edges []graph.Edge, route func(i int, e graph.Edge) []int) []*Sampler {
+	t.Helper()
+	out := make([]*Sampler, parts)
+	for p := range out {
+		c := cfg
+		c.Seed = cfg.Seed + uint64(p)
+		s, err := NewSampler(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[p] = s
+	}
+	for i, e := range edges {
+		for _, p := range route(i, e) {
+			out[p].Process(e)
+		}
+	}
+	return out
+}
+
+// byKey routes every edge to one of parts inputs by edge key, as the
+// engine's hash partitioning does: the inputs hold disjoint edge sets.
+func byKey(parts int) func(int, graph.Edge) []int {
+	return func(_ int, e graph.Edge) []int { return []int{int(e.Key() % uint64(parts))} }
+}
+
+// craftedSampler returns a sampler holding exactly the given entries, with
+// threshold z — inputs no stream would produce, such as equal priorities.
+func craftedSampler(t *testing.T, z float64, ents ...order.Entry) *Sampler {
+	t.Helper()
+	s, err := NewSampler(Config{Capacity: max(len(ents), 1), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		s.res.insert(ent)
+	}
+	s.zstar = z
+	return s
+}
+
+// requireIdenticalState fails unless got and want hold the same heap arena,
+// free list and heap order, the same dense adjacency, threshold, counters
+// and decay state, and the same Algorithm 2 output bit for bit.
+func requireIdenticalState(t *testing.T, got, want *Sampler) {
+	t.Helper()
+	ga, gf, gh := got.res.heap.ExportState()
+	wa, wf, wh := want.res.heap.ExportState()
+	if !slices.Equal(ga, wa) || !slices.Equal(gf, wf) || !slices.Equal(gh, wh) {
+		t.Fatalf("heap state differs: arena %d/%d, freed %v/%v, heap order equal %v",
+			len(ga), len(wa), gf, wf, slices.Equal(gh, wh))
+	}
+	gn, gfr, gnb, gsl := got.res.adj.ExportDense()
+	wn, wfr, wnb, wsl := want.res.adj.ExportDense()
+	if !slices.Equal(gn, wn) || !slices.Equal(gfr, wfr) || len(gnb) != len(wnb) || len(gsl) != len(wsl) {
+		t.Fatalf("dense tables differ: %d/%d nodes, freed %v/%v", len(gn), len(wn), gfr, wfr)
+	}
+	for id := range wnb {
+		if !slices.Equal(gnb[id], wnb[id]) || !slices.Equal(gsl[id], wsl[id]) {
+			t.Fatalf("dense id %d: run %v slots %v, want %v slots %v", id, gnb[id], gsl[id], wnb[id], wsl[id])
+		}
+	}
+	if got.res.adj.NumEdges() != want.res.adj.NumEdges() {
+		t.Fatalf("adjacency edges %d, want %d", got.res.adj.NumEdges(), want.res.adj.NumEdges())
+	}
+	type state struct {
+		zstar                                 float64
+		arrivals, duplicates, applied, unsamp uint64
+		accepts, evicts, landmark, lastTS     uint64
+		landmarkSet                           bool
+	}
+	snap := func(s *Sampler) state {
+		return state{s.zstar, s.arrivals, s.duplicates, s.delApplied, s.delUnsampled,
+			s.accepts, s.evicts, s.landmark, s.lastTS, s.landmarkSet}
+	}
+	if g, w := snap(got), snap(want); g != w || math.Float64bits(g.zstar) != math.Float64bits(w.zstar) {
+		t.Fatalf("sampler state %+v, want %+v", g, w)
+	}
+	if g, w := EstimatePost(got), EstimatePost(want); g != w {
+		t.Fatalf("EstimatePost %+v, want %+v", g, w)
+	}
+}
+
+// TestMergeMatchesReference pins the select-then-build merge to the
+// incremental reference on every input shape the merge distinguishes, then
+// keeps sampling both results and requires them to stay identical: the
+// bulk-built adjacency runs share backing arrays, so an in-place append
+// that overran a run would surface here.
+func TestMergeMatchesReference(t *testing.T) {
+	stream := goldenStream()
+	timed := timedGoldenStream()
+	e := func(u, v graph.NodeID, prio float64) order.Entry {
+		return order.Entry{Edge: graph.NewEdge(u, v), Weight: 1, Priority: prio}
+	}
+	// Overlapping substreams: edges 2000..2999 reach both inputs, each
+	// with its own priority draw, so many keys are held twice.
+	overlap := func(i int, _ graph.Edge) []int {
+		switch {
+		case i < 2000:
+			return []int{0}
+		case i < 3000:
+			return []int{0, 1}
+		}
+		return []int{1}
+	}
+	dropThirds := func(_ int, e graph.Edge) bool { return e.Key()%3 != 0 }
+	// Recurring edges: 4095 distinct edges, every one held by all 8 inputs
+	// (as by window panes the edge was inserted into again), merged at
+	// capacity 4096 — duplicates leave slots free after the first
+	// Capacity candidates, and every remaining candidate must be walked.
+	path := make([]graph.Edge, 4095)
+	for i := range path {
+		path[i] = graph.NewEdge(graph.NodeID(i), graph.NodeID(i+1))
+	}
+	everyInput := func(int, graph.Edge) []int { return []int{0, 1, 2, 3, 4, 5, 6, 7} }
+	cases := []struct {
+		name   string
+		inputs func(t *testing.T) []*Sampler
+		cfg    Config
+		keep   func(int, graph.Edge) bool
+	}{
+		{"uniform", func(t *testing.T) []*Sampler {
+			return mergeInputs(t, Config{Capacity: 300, Seed: 1}, 4, stream, byKey(4))
+		}, Config{Capacity: 300, Seed: 9}, nil},
+		{"triangle", func(t *testing.T) []*Sampler {
+			return mergeInputs(t, Config{Capacity: 1200, Weight: TriangleWeight, Seed: 3}, 2, stream, byKey(2))
+		}, Config{Capacity: 2000, Weight: TriangleWeight, Seed: 9}, nil},
+		{"decayed", func(t *testing.T) []*Sampler {
+			cfg := Config{Capacity: 500, Weight: TriangleWeight, Seed: 5, Decay: Decay{HalfLife: 4000, Landmark: 1}}
+			return mergeInputs(t, cfg, 3, timed, byKey(3))
+		}, Config{Capacity: 1000, Weight: TriangleWeight, Seed: 9, Decay: Decay{HalfLife: 4000, Landmark: 1}}, nil},
+		{"keep", func(t *testing.T) []*Sampler {
+			return mergeInputs(t, Config{Capacity: 600, Seed: 7}, 3, stream, byKey(3))
+		}, Config{Capacity: 800, Seed: 9}, dropThirds},
+		{"exact", func(t *testing.T) []*Sampler {
+			return mergeInputs(t, Config{Capacity: 300, Weight: TriangleWeight, Seed: 2}, 4, stream, byKey(4))
+		}, Config{Capacity: 5000, Weight: TriangleWeight, Seed: 9}, nil},
+		{"capacity1", func(t *testing.T) []*Sampler {
+			return mergeInputs(t, Config{Capacity: 50, Seed: 4}, 2, stream, byKey(2))
+		}, Config{Capacity: 1, Seed: 9}, nil},
+		{"equal-priorities", func(t *testing.T) []*Sampler {
+			return []*Sampler{
+				craftedSampler(t, 1, e(5, 9, 2), e(1, 2, 3), e(7, 8, 2), e(2, 3, 2)),
+				craftedSampler(t, 1.5, e(1, 9, 2), e(3, 4, 3), e(2, 9, 2), e(4, 5, 1.5)),
+			}
+		}, Config{Capacity: 5, Seed: 9}, nil},
+		{"one-edge-twice", func(t *testing.T) []*Sampler {
+			return []*Sampler{
+				craftedSampler(t, 1, e(1, 2, 4), e(2, 3, 3), e(3, 4, 2)),
+				craftedSampler(t, 1, e(2, 3, 5), e(4, 5, 2.5), e(5, 6, 1.2)),
+			}
+		}, Config{Capacity: 3, Seed: 9}, nil},
+		{"overlapping-inputs", func(t *testing.T) []*Sampler {
+			return mergeInputs(t, Config{Capacity: 800, Weight: TriangleWeight, Seed: 6}, 2, stream, overlap)
+		}, Config{Capacity: 1200, Weight: TriangleWeight, Seed: 9}, nil},
+		{"recurring-edges", func(t *testing.T) []*Sampler {
+			return mergeInputs(t, Config{Capacity: 4095, Seed: 8}, 8, path, everyInput)
+		}, Config{Capacity: 4096, Seed: 9}, nil},
+	}
+	// More stream for the merged samplers: new edges among the same nodes,
+	// a few repeats of golden edges, and deletions of sampled ones.
+	extra := gen.HolmeKim(4000, 4, 0.4, 0xE7A)
+	extra = append(extra, stream[:200]...)
+	for tsi, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			inputs := tc.inputs(t)
+			got, err := MergeFiltered(inputs, tc.cfg, tc.keep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := mergeReference(inputs, tc.cfg, tc.keep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdenticalState(t, got, want)
+
+			ts := uint64(len(timed))
+			for i, x := range extra {
+				if tc.cfg.Decay.Enabled() {
+					ts++
+					x = x.At(ts)
+				}
+				if i%7 == tsi%7 && want.res.Len() > 0 {
+					x = want.res.heap.At(i % want.res.Len()).Edge.AsDeletion()
+				}
+				got.Process(x)
+				want.Process(x)
+			}
+			if fg, fw := fingerprint(got), fingerprint(want); fg != fw {
+				t.Fatalf("after more stream: fingerprint %#x, want %#x", fg, fw)
+			}
+			requireIdenticalState(t, got, want)
+		})
+	}
+}

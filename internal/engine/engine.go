@@ -639,8 +639,9 @@ func (p *Parallel) Merge() (*core.Sampler, error) {
 // returned sequential Sampler. The result is bit-identical to what Merge
 // would have returned at the same stream position — a deterministic
 // function of (seed, edges fed so far, shard count) — but ingestion stalls
-// only for the dirty-shard clone instead of the merge's sort and reservoir
-// rebuild; shards untouched since the last snapshot reuse their prior
+// only for the dirty-shard clone instead of the merge (a top-m selection
+// over the shard entries plus one bulk reservoir build, see core.Merge);
+// shards untouched since the last snapshot reuse their prior
 // immutable clone at zero cost, and a snapshot with no shard dirty at all
 // skips the merge too, returning the previous merged sampler. Snapshots
 // are immutable by contract: the engine never mutates a returned sampler
@@ -844,13 +845,16 @@ func (p *Parallel) ShardOf(e graph.Edge) int {
 
 // merge runs the priority-sampling merge over the given shard samplers with
 // the derived merge seed, over the entries keep accepts (nil: all; see
-// core.MergeFiltered). Safe without any engine lock when the samplers are
-// clones; for live shard samplers the caller must hold the admission write
-// lock with the rings drained.
+// core.MergeFiltered), recording its duration in the merge histogram. Safe
+// without any engine lock when the samplers are clones; for live shard
+// samplers the caller must hold the admission write lock with the rings
+// drained.
 func (p *Parallel) merge(samplers []*core.Sampler, keep func(int, graph.Edge) bool) (*core.Sampler, error) {
 	mcfg := p.cfg
 	mcfg.Seed = p.mergeSeed
+	start := time.Now()
 	m, err := core.MergeFiltered(samplers, mcfg, keep)
+	p.met.mergeNS.Observe(uint64(time.Since(start)))
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}

@@ -13,13 +13,14 @@ import (
 //
 // Recording discipline: the drain instruments sit on the ingest hot path
 // (once per drained span) and are gated on obs.Enabled, so the gps_noobs
-// build compiles them out; the barrier/snapshot/checkpoint instruments are
-// per-query cold paths and record unconditionally.
+// build compiles them out; the barrier/snapshot/merge/checkpoint instruments
+// are per-query cold paths and record unconditionally.
 type engineMetrics struct {
 	drainNS      *obs.Histogram // span drain latency, ns
 	drainEdges   *obs.Histogram // edges per drained span
 	barrierNS    *obs.Histogram // admission-barrier ring-drain wait, ns
 	stallNS      *obs.Histogram // snapshot/checkpoint ingestion stall, ns
+	mergeNS      *obs.Histogram // shard (or pane) merge, ns
 	ckptEncNS    *obs.Histogram // checkpoint parallel-encode phase, ns
 	ckptEncBytes *obs.Histogram // bytes per freshly encoded shard blob
 }
@@ -32,6 +33,7 @@ func (m *engineMetrics) init() {
 	m.drainEdges = obs.NewHistogram(obs.Sizes(20))
 	m.barrierNS = obs.NewHistogram(obs.Latency())
 	m.stallNS = obs.NewHistogram(obs.Latency())
+	m.mergeNS = obs.NewHistogram(obs.Latency())
 	m.ckptEncNS = obs.NewHistogram(obs.Latency())
 	m.ckptEncBytes = obs.NewHistogram(obs.Sizes(34))
 }
@@ -91,6 +93,8 @@ func (p *Parallel) RegisterMetrics(reg *obs.Registry, labels ...obs.Label) {
 		"Ring-drain wait inside the admission barrier (per Merge/Snapshot/Checkpoint).", p.met.barrierNS, labels...)
 	reg.RegisterHistogram("gps_engine_snapshot_stall_seconds",
 		"Ingestion stall per snapshot or checkpoint: barrier plus dirty-shard clone.", p.met.stallNS, labels...)
+	reg.RegisterHistogram("gps_engine_merge_seconds",
+		"Shard merge per Merge or fresh Snapshot: top-m selection plus reservoir build.", p.met.mergeNS, labels...)
 
 	reg.RegisterCounterFunc("gps_engine_snapshots_total", "Snapshots taken.",
 		func() uint64 { s, _, _ := p.SnapshotStats(); return s }, labels...)

@@ -82,6 +82,9 @@ func TestRegisterMetrics(t *testing.T) {
 	if got := value("gps_engine_snapshot_stall_seconds_count"); got != 1 {
 		t.Fatalf("snapshot_stall count = %g, want 1 (checkpoint stall is counted by the engine, not here)", got)
 	}
+	if got := value("gps_engine_merge_seconds_count"); got != 1 {
+		t.Fatalf("merge count = %g, want 1 (the snapshot merges; the checkpoint does not)", got)
+	}
 	if got := value("gps_engine_checkpoint_encode_bytes_count"); got != 4 {
 		t.Fatalf("checkpoint encode bytes count = %g, want 4 freshly encoded shard blobs", got)
 	}
@@ -92,6 +95,35 @@ func TestRegisterMetrics(t *testing.T) {
 		if sum, _ := scrapeValue(scrape, "gps_engine_drain_batch_edges_sum"); sum != 20000 {
 			t.Fatalf("drain_batch_edges_sum = %g, want 20000 (every routed edge drained exactly once)", sum)
 		}
+	}
+}
+
+// TestWindowMergeHistogram checks that every window query records its pane
+// merge under the gps_window_* namespace a windowed engine exports.
+func TestWindowMergeHistogram(t *testing.T) {
+	p, err := NewWindowed(WindowConfig{Capacity: 64, Seed: 3, Shards: 2, PaneWidth: 100, Window: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	reg := obs.NewRegistry()
+	p.RegisterMetrics(reg)
+	batch := make([]graph.Edge, 0, 1000)
+	for i := uint64(0); i < 1000; i++ {
+		batch = append(batch, graph.NewEdgeAt(graph.NodeID(i%97), graph.NodeID(100+i), i+1))
+	}
+	p.ProcessBatch(batch)
+	for i := 0; i < 2; i++ {
+		if _, err := p.Estimate(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := scrapeValue(buf.String(), "gps_window_merge_seconds_count"); !ok || got != 2 {
+		t.Fatalf("gps_window_merge_seconds_count = %g (present %v), want 2:\n%s", got, ok, buf.String())
 	}
 }
 

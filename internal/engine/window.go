@@ -316,7 +316,9 @@ type WindowEstimates struct {
 // (0 means the configured maximum): it merges every shard pane overlapping
 // (T−win, T], without the edges outside the window or tombstoned, and runs
 // the post-stream estimators on the merged sample. Ingestion is blocked for
-// the barrier and the merge; the estimators run after it resumes. Plain
+// the barrier and the merge — a selection of the Capacity winners among
+// the in-window pane entries plus one bulk reservoir build (see
+// core.Merge for its cost) — and the estimators run after it resumes. Plain
 // engines return an error.
 func (p *Parallel) Estimate(win uint64) (WindowEstimates, error) {
 	if p.win == nil {
@@ -413,4 +415,7 @@ func (p *Parallel) registerWindowMetrics(reg *obs.Registry, labels ...obs.Label)
 	reg.RegisterGaugeFunc("gps_window_horizon",
 		"Largest event time ingested (the horizon window queries end at).",
 		func() float64 { return float64(p.Horizon()) }, labels...)
+	reg.RegisterHistogram("gps_window_merge_seconds",
+		"Pane merge per window query (under the admission lock): selection, trim and reservoir build.",
+		p.met.mergeNS, labels...)
 }

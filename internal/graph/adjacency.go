@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Adjacency is a dynamic undirected adjacency structure supporting edge
 // insertion, deletion and neighborhood queries. It is the topology index of
@@ -224,6 +227,62 @@ func RestoreAdjacency(nodes []NodeID, freed []int32, nbrs [][]NodeID, slots [][]
 	}
 	a.edges = half / 2
 	return a, nil
+}
+
+// BuildAdjacency returns the adjacency of n distinct edges, edge(i)
+// annotated with slot i: the structure AddWithSlot(edge(i), i) for
+// i = 0..n-1 in order builds, dense ids included (first touch, U then V),
+// but built in bulk. One pass interns the endpoints and counts degrees, a
+// second fills one shared neighbor array and one shared slot array, and
+// each run is then sorted in place. Every run has cap == len, so a later
+// in-place append reallocates instead of clobbering the next run.
+// Duplicate edges are not detected; callers pass a set.
+func BuildAdjacency(n int, edge func(slot int32) Edge) *Adjacency {
+	a := &Adjacency{idx: make(map[NodeID]int32, n)}
+	ends := make([]int32, 2*n) // dense ids of edge i's endpoints
+	var deg []int
+	for i := 0; i < n; i++ {
+		e := edge(int32(i))
+		for j, v := range [2]NodeID{e.U, e.V} {
+			id, ok := a.idx[v]
+			if !ok {
+				id = int32(len(a.nodes))
+				a.idx[v] = id
+				a.nodes = append(a.nodes, v)
+				deg = append(deg, 0)
+			}
+			ends[2*i+j] = id
+			deg[id]++
+		}
+	}
+	nb, sb := make([]NodeID, 2*n), make([]int32, 2*n)
+	a.nbrs, a.slots = make([][]NodeID, len(deg)), make([][]int32, len(deg))
+	off := 0
+	for id, d := range deg {
+		a.nbrs[id], a.slots[id] = nb[off:off:off+d], sb[off:off:off+d]
+		off += d
+	}
+	for i := 0; i < n; i++ {
+		u, v := ends[2*i], ends[2*i+1]
+		a.nbrs[u] = append(a.nbrs[u], a.nodes[v])
+		a.slots[u] = append(a.slots[u], int32(i))
+		a.nbrs[v] = append(a.nbrs[v], a.nodes[u])
+		a.slots[v] = append(a.slots[v], int32(i))
+	}
+	var scratch []uint64
+	for id, run := range a.nbrs {
+		// Pack (neighbor, slot) so one integer sort orders the pair runs.
+		scratch = scratch[:0]
+		for j, w := range run {
+			scratch = append(scratch, uint64(w)<<32|uint64(uint32(a.slots[id][j])))
+		}
+		slices.Sort(scratch)
+		for j, x := range scratch {
+			run[j], a.slots[id][j] = NodeID(x>>32), int32(uint32(x))
+		}
+	}
+	a.edges = n
+	return a
 }
 
 // intern returns the dense id of v, allocating one if v is new.

@@ -354,6 +354,7 @@ func (s *Server) metricsPartition() (statsCovered, metricsOnly []string) {
 			"gps_window_panes",      // window_panes
 			"gps_window_horizon",    // window_horizon
 		)
+		metricsOnly = append(metricsOnly, "gps_window_merge_seconds")
 	}
 	if anyPlain {
 		statsCovered = append(statsCovered,
@@ -379,6 +380,7 @@ func (s *Server) metricsPartition() (statsCovered, metricsOnly []string) {
 			"gps_engine_checkpoint_encode_seconds",
 			"gps_engine_drain_batch_edges",
 			"gps_engine_drain_batch_seconds",
+			"gps_engine_merge_seconds",
 			"gps_engine_ring_parks_total",
 			"gps_engine_ring_wakeups_total",
 			"gps_engine_snapshot_stall_seconds", // stats has only the last stall, not the distribution
