@@ -15,6 +15,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 
@@ -25,6 +27,7 @@ import (
 	"gps/internal/experiments"
 	"gps/internal/gen"
 	"gps/internal/graph"
+	"gps/internal/serve"
 	"gps/internal/stream"
 )
 
@@ -619,4 +622,61 @@ func BenchmarkEngineWindowQuery(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1e6, "ms/query")
+}
+
+// BenchmarkServeIngestBinary measures HTTP ingest through gps-serve's
+// handler at the perfbench ingest shape: 8192-edge GPSB bodies posted over
+// httptest to a triangle-weighted m=20000 stream on 2 shards. One op is
+// one body — decode, admission, queue and sampling (a closing flush waits
+// for the last body to be sampled) — and allocs/op is what the server
+// allocates per body.
+func BenchmarkServeIngestBinary(b *testing.B) {
+	const batch = 8192
+	s, err := serve.NewServer(serve.Config{Capacity: 20000, Weight: gps.TriangleWeight,
+		WeightName: "triangle", Shards: 2, Seed: 9})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer s.Close()
+	defer ts.Close()
+	edges := holmeKimCopies(4)
+	var bodies [][]byte
+	for lo := 0; lo+batch <= len(edges); lo += batch {
+		var buf bytes.Buffer
+		if err := stream.WriteBinary(&buf, edges[lo:lo+batch]); err != nil {
+			b.Fatal(err)
+		}
+		bodies = append(bodies, buf.Bytes())
+	}
+	post := func(path, contentType string, body []byte) int {
+		resp, err := http.Post(ts.URL+path, contentType, bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	flush := func() {
+		if code := post("/v1/flush", "", nil); code != http.StatusOK {
+			b.Fatalf("flush: status %d", code)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for {
+			code := post("/v1/ingest", stream.BinaryContentType, bodies[i%len(bodies)])
+			if code == http.StatusAccepted {
+				break
+			}
+			if code != http.StatusServiceUnavailable {
+				b.Fatalf("ingest: status %d", code)
+			}
+			flush() // queue full: let it drain, then retry
+		}
+	}
+	flush()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/edge")
 }

@@ -90,7 +90,7 @@ const (
 	// (both the atomic-write rename and serve's final-name rename).
 	CheckpointRename = "checkpoint.rename"
 	// StreamDecode fires at the head of the edge-stream readers (text and
-	// binary), before any record is parsed.
+	// binary), once per document, before any record is parsed.
 	StreamDecode = "stream.decode"
 	// RingPublish fires in the producer-side ring append. Error rules are
 	// ignored here (the append cannot fail); use latency or panic.

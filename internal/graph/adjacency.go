@@ -3,6 +3,8 @@ package graph
 import (
 	"fmt"
 	"slices"
+
+	"gps/internal/keytab"
 )
 
 // Adjacency is a dynamic undirected adjacency structure supporting edge
@@ -12,12 +14,12 @@ import (
 // *currently sampled* graph, which gains and loses edges as the reservoir
 // evolves.
 //
-// Layout: nodes are interned to dense int32 ids on first touch (one flat
-// map lookup per endpoint), and each dense id owns a sorted []NodeID
-// neighbor slice. Dense ids of nodes whose last incident edge is removed
-// are recycled, and their neighbor slices keep their capacity, so a
-// reservoir in steady state (one insert + one evict per arrival) runs
-// allocation-free. Compared to the earlier map[NodeID]map[NodeID]struct{}
+// Layout: nodes are interned to dense int32 ids on first touch (one probe
+// of an open-addressing keytab.Table per endpoint), and each dense id owns
+// a sorted []NodeID neighbor slice. Dense ids of nodes whose last incident
+// edge is removed are recycled, and their neighbor slices keep their
+// capacity, so a reservoir in steady state (one insert + one evict per
+// arrival) runs allocation-free. Compared to the earlier map[NodeID]map[NodeID]struct{}
 // representation this removes the per-node hash set allocations, makes
 // Neighbors/CommonNeighbors iterate contiguous memory, and gives every
 // query a deterministic (ascending) iteration order.
@@ -37,13 +39,13 @@ import (
 // array read alongside the neighbor id. Edges added through plain Add carry
 // the slot -1.
 //
-// The zero value is not usable; construct with NewAdjacency.
+// The zero value is an empty structure ready for use.
 type Adjacency struct {
-	idx   map[NodeID]int32 // intern table: node → dense id
-	nodes []NodeID         // dense id → node
-	nbrs  [][]NodeID       // dense id → sorted neighbors
-	slots [][]int32        // dense id → per-neighbor edge slots, parallel to nbrs
-	freed []int32          // recycled dense ids
+	idx   keytab.Table // intern table: nodeKey(node) → dense id
+	nodes []NodeID     // dense id → node
+	nbrs  [][]NodeID   // dense id → sorted neighbors
+	slots [][]int32    // dense id → per-neighbor edge slots, parallel to nbrs
+	freed []int32      // recycled dense ids
 	edges int
 
 	// Backing arrays of the most recent CloneInto into this value, retained
@@ -53,33 +55,31 @@ type Adjacency struct {
 }
 
 // NewAdjacency returns an empty adjacency structure.
-func NewAdjacency() *Adjacency {
-	return &Adjacency{idx: make(map[NodeID]int32)}
-}
+func NewAdjacency() *Adjacency { return &Adjacency{} }
+
+// nodeKey is v's key in the intern table: shifted by one because the
+// table reserves key 0 for empty buckets and node 0 is a valid id.
+func nodeKey(v NodeID) uint64 { return uint64(v) + 1 }
+
+// lookup returns v's dense id.
+func (a *Adjacency) lookup(v NodeID) (int32, bool) { return a.idx.Get(nodeKey(v)) }
 
 // Clone returns a deep copy of the adjacency structure; the clone and the
 // original evolve independently. Neighbor and slot slices are copied into
 // shared backing arrays sized to the live edge count, so the clone costs a
-// few large allocations plus the intern-table copy rather than one
-// allocation per node.
+// few large allocations and flat copies (the intern table included) rather
+// than one allocation per node.
 func (a *Adjacency) Clone() *Adjacency { return a.CloneInto(nil) }
 
 // CloneInto is Clone writing over dst, reusing dst's backing arrays (intern
-// map, dense tables, and the shared neighbor/slot backing of a previous
+// table, dense tables, and the shared neighbor/slot backing of a previous
 // CloneInto) when their capacity suffices. dst must not be a itself and
 // must not be referenced anywhere else; nil allocates a fresh structure.
 func (a *Adjacency) CloneInto(dst *Adjacency) *Adjacency {
 	if dst == nil {
 		dst = &Adjacency{}
 	}
-	if dst.idx == nil {
-		dst.idx = make(map[NodeID]int32, len(a.idx))
-	} else {
-		clear(dst.idx)
-	}
-	for v, id := range a.idx {
-		dst.idx[v] = id
-	}
+	dst.idx.CopyFrom(&a.idx)
 	dst.nodes = append(dst.nodes[:0], a.nodes...)
 	dst.freed = append(dst.freed[:0], a.freed...)
 	dst.edges = a.edges
@@ -126,8 +126,8 @@ func (a *Adjacency) CloneInto(dst *Adjacency) *Adjacency {
 // Remove. Together with RestoreAdjacency this is the durability surface of
 // the topology index: dense-id assignment (including the recycling history
 // baked into freed) determines estimator iteration order, so it must
-// survive a checkpoint bit for bit. The intern map is not exported — it is
-// derivable, and RestoreAdjacency rebuilds it.
+// survive a checkpoint bit for bit. The intern table is not exported — it
+// is derivable, and RestoreAdjacency rebuilds it.
 //
 // nodes entries at freed ids are stale values from released nodes; encoders
 // must normalize them (write 0) so serialized state is a function of live
@@ -171,12 +171,12 @@ func RestoreAdjacency(nodes []NodeID, freed []int32, nbrs [][]NodeID, slots [][]
 		}
 	}
 	a := &Adjacency{
-		idx:   make(map[NodeID]int32, n-len(freed)),
 		nodes: nodes,
 		nbrs:  nbrs,
 		slots: slots,
 		freed: freed,
 	}
+	a.idx.Init(n - len(freed))
 	half := 0
 	for id := 0; id < n; id++ {
 		if isFreed[id] {
@@ -189,10 +189,10 @@ func RestoreAdjacency(nodes []NodeID, freed []int32, nbrs [][]NodeID, slots [][]
 		if len(sl) != len(run) {
 			return nil, fmt.Errorf("graph: id %d has %d neighbors but %d slots", id, len(run), len(sl))
 		}
-		if _, dup := a.idx[v]; dup {
+		if _, dup := a.lookup(v); dup {
 			return nil, fmt.Errorf("graph: node %d interned twice", v)
 		}
-		a.idx[v] = int32(id)
+		a.idx.Put(nodeKey(v), int32(id))
 		for j, u := range run {
 			if u == v {
 				return nil, fmt.Errorf("graph: self loop at node %d", v)
@@ -210,7 +210,7 @@ func RestoreAdjacency(nodes []NodeID, freed []int32, nbrs [][]NodeID, slots [][]
 		}
 		v := nodes[id]
 		for j, u := range nbrs[id] {
-			uid, ok := a.idx[u]
+			uid, ok := a.lookup(u)
 			if !ok {
 				return nil, fmt.Errorf("graph: node %d lists neighbor %d, which is not interned", v, u)
 			}
@@ -238,16 +238,17 @@ func RestoreAdjacency(nodes []NodeID, freed []int32, nbrs [][]NodeID, slots [][]
 // in-place append reallocates instead of clobbering the next run.
 // Duplicate edges are not detected; callers pass a set.
 func BuildAdjacency(n int, edge func(slot int32) Edge) *Adjacency {
-	a := &Adjacency{idx: make(map[NodeID]int32, n)}
+	a := &Adjacency{}
+	a.idx.Init(n)
 	ends := make([]int32, 2*n) // dense ids of edge i's endpoints
 	var deg []int
 	for i := 0; i < n; i++ {
 		e := edge(int32(i))
 		for j, v := range [2]NodeID{e.U, e.V} {
-			id, ok := a.idx[v]
+			id, ok := a.lookup(v)
 			if !ok {
 				id = int32(len(a.nodes))
-				a.idx[v] = id
+				a.idx.Put(nodeKey(v), id)
 				a.nodes = append(a.nodes, v)
 				deg = append(deg, 0)
 			}
@@ -287,7 +288,7 @@ func BuildAdjacency(n int, edge func(slot int32) Edge) *Adjacency {
 
 // intern returns the dense id of v, allocating one if v is new.
 func (a *Adjacency) intern(v NodeID) int32 {
-	if id, ok := a.idx[v]; ok {
+	if id, ok := a.lookup(v); ok {
 		return id
 	}
 	var id int32
@@ -301,14 +302,14 @@ func (a *Adjacency) intern(v NodeID) int32 {
 		a.nbrs = append(a.nbrs, nil)
 		a.slots = append(a.slots, nil)
 	}
-	a.idx[v] = id
+	a.idx.Put(nodeKey(v), id)
 	return id
 }
 
 // release drops v from the intern table, recycling its dense id and keeping
 // the neighbor/slot slices' capacity for the next node interned.
 func (a *Adjacency) release(v NodeID, id int32) {
-	delete(a.idx, v)
+	a.idx.Del(nodeKey(v))
 	a.nbrs[id] = a.nbrs[id][:0]
 	a.slots[id] = a.slots[id][:0]
 	a.freed = append(a.freed, id)
@@ -386,7 +387,7 @@ func (a *Adjacency) AddWithSlot(e Edge, slot int32) bool {
 // last incident edge is removed are dropped entirely so that the node count
 // tracks the sampled subgraph.
 func (a *Adjacency) Remove(e Edge) bool {
-	iu, ok := a.idx[e.U]
+	iu, ok := a.lookup(e.U)
 	if !ok {
 		return false
 	}
@@ -396,7 +397,7 @@ func (a *Adjacency) Remove(e Edge) bool {
 	if len(a.nbrs[iu]) == 0 {
 		a.release(e.U, iu)
 	}
-	iv := a.idx[e.V]
+	iv, _ := a.lookup(e.V)
 	a.removeHalf(iv, e.U)
 	if len(a.nbrs[iv]) == 0 {
 		a.release(e.V, iv)
@@ -406,7 +407,7 @@ func (a *Adjacency) Remove(e Edge) bool {
 }
 
 func (a *Adjacency) neighborsOf(v NodeID) []NodeID {
-	if id, ok := a.idx[v]; ok {
+	if id, ok := a.lookup(v); ok {
 		return a.nbrs[id]
 	}
 	return nil
@@ -421,7 +422,7 @@ func (a *Adjacency) Has(e Edge) bool {
 
 // HasNode reports whether v has at least one incident edge.
 func (a *Adjacency) HasNode(v NodeID) bool {
-	_, ok := a.idx[v]
+	_, ok := a.lookup(v)
 	return ok
 }
 
@@ -429,7 +430,7 @@ func (a *Adjacency) HasNode(v NodeID) bool {
 func (a *Adjacency) Degree(v NodeID) int { return len(a.neighborsOf(v)) }
 
 // NumNodes returns the number of nodes with at least one incident edge.
-func (a *Adjacency) NumNodes() int { return len(a.idx) }
+func (a *Adjacency) NumNodes() int { return a.idx.Len() }
 
 // NumEdges returns the number of edges currently stored.
 func (a *Adjacency) NumEdges() int { return a.edges }
@@ -449,7 +450,7 @@ func (a *Adjacency) Neighbors(v NodeID, fn func(NodeID) bool) {
 // internal storage: callers must treat them as read-only, and they are
 // invalidated by the next Add or Remove. Absent nodes return nil runs.
 func (a *Adjacency) NeighborRun(v NodeID) (nbrs []NodeID, slots []int32) {
-	if id, ok := a.idx[v]; ok {
+	if id, ok := a.lookup(v); ok {
 		return a.nbrs[id], a.slots[id]
 	}
 	return nil, nil

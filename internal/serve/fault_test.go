@@ -231,18 +231,36 @@ func TestServeHTTPFault(t *testing.T) {
 }
 
 // TestServeStreamDecodeFault: a decode-layer fault surfaces as a 400 — the
-// client-error class — never a 500.
+// client-error class — never a 500, for text and binary bodies alike, and
+// every body hits the point exactly once (a binary body sniffed under a
+// text content type included).
 func TestServeStreamDecodeFault(t *testing.T) {
 	_, ts := newTestServer(t, Config{Capacity: 100, Seed: 4})
-	armServeFaults(t, 7, "stream.decode:error:times=1")
-	resp, err := http.Post(ts.URL+"/v1/ingest", "text/plain", strings.NewReader("1 2\n"))
-	if err != nil {
+	armServeFaults(t, 7, "stream.decode:error:times=2")
+	var bin bytes.Buffer
+	if err := stream.WriteBinary(&bin, []graph.Edge{graph.NewEdge(1, 2)}); err != nil {
 		t.Fatal(err)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d (%s), want 400", resp.StatusCode, body)
+	for _, tc := range []struct {
+		name, contentType, body string
+		want                    int
+	}{
+		{"text", "text/plain", "1 2\n", http.StatusBadRequest},
+		{"binary", stream.BinaryContentType, bin.String(), http.StatusBadRequest},
+		{"sniffed binary, rule spent", "text/plain", bin.String(), http.StatusAccepted},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/ingest", tc.contentType, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Fatalf("%s: status %d (%s), want %d", tc.name, resp.StatusCode, body, tc.want)
+		}
+	}
+	if st := fault.Status(); len(st) != 1 || st[0].Hits != 3 {
+		t.Fatalf("fault status %+v, want one rule hit once per body (3)", st)
 	}
 }
 

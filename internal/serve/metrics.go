@@ -3,6 +3,8 @@ package serve
 import (
 	"fmt"
 	"net/http"
+	"runtime"
+	"runtime/debug"
 	"time"
 
 	"gps/internal/checkpoint"
@@ -123,15 +125,39 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // registerServerMetrics attaches the families that are genuinely
-// server-wide: the checkpoint file pipeline (one directory, one writer, all
-// streams per file) and uptime. Everything per-stream attaches through
-// registerTenantMetrics when the tenant is installed.
+// server-wide: the build, the checkpoint file pipeline (one directory, one
+// writer, all streams per file) and uptime. Everything per-stream attaches
+// through registerTenantMetrics when the tenant is installed.
 func (s *Server) registerServerMetrics() {
+	tags, commit := buildInfo()
+	s.reg.RegisterGaugeFunc("gps_build_info",
+		"Always 1; the labels name the running build: Go version, build tags (the gps_noobs, gps_nofault and gps_exactexp flavors) and VCS commit.",
+		func() float64 { return 1 },
+		obs.Label{Key: "go", Value: runtime.Version()}, obs.Label{Key: "tags", Value: tags}, obs.Label{Key: "commit", Value: commit})
 	checkpoint.RegisterMetrics(s.reg)
 	s.reg.RegisterCounterFunc("gps_serve_checkpoint_files_total",
 		"Checkpoint files persisted by this server.", s.checkpointsWritten.Load)
 	s.reg.RegisterGaugeFunc("gps_serve_uptime_seconds", "Seconds since the server booted.",
 		func() float64 { return time.Since(s.start).Seconds() })
+}
+
+// buildInfo reads the build tags and VCS commit recorded in the running
+// binary; each is empty when the build recorded none (no tags, or a build
+// outside a VCS checkout).
+func buildInfo() (tags, commit string) {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return "", ""
+	}
+	for _, st := range bi.Settings {
+		switch st.Key {
+		case "-tags":
+			tags = st.Value
+		case "vcs.revision":
+			commit = st.Value
+		}
+	}
+	return tags, commit
 }
 
 // registerTenantMetrics attaches one stream's samples: the engine layer's

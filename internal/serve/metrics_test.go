@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -375,5 +376,24 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 	}
 	if got, _ := metricValue(scrape, "gps_serve_edges_processed_total"); got != want {
 		t.Fatalf("edges_processed = %g, want %g", got, want)
+	}
+}
+
+// TestBuildInfoGauge: the scrape names the running build. Its go label is
+// the toolchain version, and its tags label carries gps_noobs exactly in
+// the flavor that compiles hot-path instrumentation out, so the flavors
+// are told apart from /metrics alone.
+func TestBuildInfoGauge(t *testing.T) {
+	_, ts := newTestServer(t, Config{Capacity: 64, Seed: 1, Shards: 1})
+	m := regexp.MustCompile(`(?m)^gps_build_info\{go="([^"]*)",tags="([^"]*)",commit="[^"]*"\} 1$`).
+		FindStringSubmatch(scrapeMetrics(t, ts.URL))
+	if m == nil {
+		t.Fatal("no gps_build_info sample with go, tags and commit labels")
+	}
+	if m[1] != runtime.Version() {
+		t.Errorf("go label %q, want %q", m[1], runtime.Version())
+	}
+	if noobs := strings.Contains(m[2], "gps_noobs"); noobs == obs.Enabled {
+		t.Errorf("tags label %q in a build with obs.Enabled=%v", m[2], obs.Enabled)
 	}
 }

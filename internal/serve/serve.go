@@ -218,9 +218,35 @@ type Server struct {
 	pprofAddr atomic.Value // string: bound pprof listener address, for /v1/stats
 }
 
+// ingestItem is one queued batch or flush marker. A batch is a pooled
+// buffer (see batchPool) that the queue owns once it is sent: ingestLoop
+// returns it to the pool after ProcessBatch.
 type ingestItem struct {
-	edges []graph.Edge
+	edges *[]graph.Edge // nil for flush markers
 	ack   chan struct{} // non-nil for flush markers
+}
+
+// batchPool recycles decoded ingest batches, and decoderPool the binary
+// decoders (with their read windows) that fill them, so steady-state
+// binary ingest allocates no per-body edge storage. Reuse is safe because
+// ProcessBatch copies every edge into the shard rings before it returns.
+var (
+	batchPool   = sync.Pool{New: func() any { return new([]graph.Edge) }}
+	decoderPool = sync.Pool{New: func() any { return stream.NewBinaryDecoder(nil) }}
+)
+
+// maxPooledBatch caps the buffers batchPool keeps: a buffer grown by a
+// rare huge body is dropped rather than pinned, so the pool holds about
+// what the usual body size needs (a 64 Ki-edge buffer is 1.5 MiB).
+const maxPooledBatch = 64 << 10
+
+// releaseBatch returns a batch buffer to batchPool.
+func releaseBatch(b *[]graph.Edge) {
+	if cap(*b) > maxPooledBatch {
+		return
+	}
+	*b = (*b)[:0]
+	batchPool.Put(b)
 }
 
 // NewServer builds the service: the stream registry (the default stream
@@ -464,7 +490,8 @@ func (s *Server) ingestLoop(t *tenant) {
 	defer close(t.loopDone)
 	handle := func(it ingestItem) {
 		t.pendingBatches.Add(-1)
-		if len(it.edges) > 0 {
+		if it.edges != nil {
+			edges := *it.edges
 			// Recover a panic escaping admission (e.g. an injected
 			// ring-publish fault): the batch may be partially applied, but
 			// the loop — the only feeder of the sampler — must survive, and
@@ -479,15 +506,16 @@ func (s *Server) ingestLoop(t *tenant) {
 						t.ingestPanics.Add(1)
 					}
 				}()
-				if err := t.eng.ProcessBatch(it.edges); err != nil {
+				if err := t.eng.ProcessBatch(edges); err != nil {
 					// A closed windowed engine loses the batch like a
 					// recovered panic would; the loss is visible in
 					// ingest_panics.
 					t.ingestPanics.Add(1)
 				}
 			}()
-			t.pendingEdges.Add(-int64(len(it.edges)))
-			t.edgesProcessed.Add(uint64(len(it.edges)))
+			t.pendingEdges.Add(-int64(len(edges)))
+			t.edgesProcessed.Add(uint64(len(edges)))
+			releaseBatch(it.edges)
 		}
 		if it.ack != nil {
 			close(it.ack)
@@ -535,23 +563,35 @@ func (t *limitTracker) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// parseBody decodes an ingest body: binary edge frames when the content
-// type or magic says so, plain-text edge list otherwise. Self-loop records
-// are skipped and counted per the shared reader policy (the count feeds
-// the ingest response and /v1/stats). tooBig reports that the body
-// exceeded MaxBodyBytes (the error is then a truncation artifact, not
-// malformed client data).
-func (s *Server) parseBody(r *http.Request) (edges []graph.Edge, st stream.ReadStats, tooBig bool, err error) {
+// parseBody decodes an ingest body into a batch buffer from batchPool:
+// binary edge frames when the content type or magic says so, plain-text
+// edge list otherwise. A binary-typed body decodes through a pooled
+// decoder straight into the pooled buffer. Self-loop records are skipped
+// and counted per the shared reader policy (the count feeds the ingest
+// response and /v1/stats). tooBig reports that the body exceeded
+// MaxBodyBytes (the error is then a truncation artifact, not malformed
+// client data). On error no batch is returned.
+func (s *Server) parseBody(r *http.Request) (batch *[]graph.Edge, st stream.ReadStats, tooBig bool, err error) {
 	if r.ContentLength > s.cfg.MaxBodyBytes {
 		return nil, st, true, fmt.Errorf("serve: body of %d bytes exceeds limit", r.ContentLength)
 	}
 	body := &limitTracker{r: http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes)}
+	batch = batchPool.Get().(*[]graph.Edge)
 	if r.Header.Get("Content-Type") == stream.BinaryContentType {
-		edges, st, err = stream.ReadBinaryStats(body)
+		d := decoderPool.Get().(*stream.BinaryDecoder)
+		d.Reset(body)
+		*batch, err = d.AppendEdges((*batch)[:0])
+		st.SelfLoops = d.SelfLoops()
+		d.Reset(nil) // keep no reference to the request body
+		decoderPool.Put(d)
 	} else {
-		edges, st, err = stream.ReadEdgesStats(body)
+		*batch, st, err = stream.ReadEdgesStats(body)
 	}
-	return edges, st, body.tripped, err
+	if err != nil {
+		releaseBatch(batch)
+		return nil, st, body.tripped, err
+	}
+	return batch, st, body.tripped, nil
 }
 
 // ingestSequence parses the at-least-once dedup headers: X-GPS-Source names
@@ -606,7 +646,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	edges, rst, tooBig, err := s.parseBody(r)
+	batch, rst, tooBig, err := s.parseBody(r)
 	if err != nil {
 		if tooBig {
 			httpError(w, http.StatusRequestEntityTooLarge,
@@ -616,6 +656,17 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	// The handler owns the batch until the queue takes it: every return
+	// before a successful send hands the buffer back to the pool, and
+	// nothing after the send reads it (ingestLoop may already be reusing
+	// it).
+	queued := false
+	defer func() {
+		if !queued {
+			releaseBatch(batch)
+		}
+	}()
+	edges := *batch
 	source, seq, err := ingestSequence(r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
@@ -687,11 +738,13 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		reject("ingest queue full (pending edge bound)")
 		return
 	}
+	n, dels := len(edges), countDeletions(edges)
 	select {
-	case t.queue <- ingestItem{edges: edges}:
-		t.edgesAccepted.Add(uint64(len(edges)))
+	case t.queue <- ingestItem{edges: batch}:
+		queued = true
+		t.edgesAccepted.Add(uint64(n))
 		t.selfLoops.Add(uint64(rst.SelfLoops))
-		if dels := countDeletions(edges); dels > 0 {
+		if dels > 0 {
 			t.deletionRecs.Add(dels)
 		}
 		if fault.Enabled() {
@@ -707,7 +760,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		writeJSON(w, http.StatusAccepted, map[string]any{
-			"accepted":           len(edges),
+			"accepted":           n,
 			"skipped_self_loops": rst.SelfLoops,
 			"queued_batches":     t.pendingBatches.Load(),
 		})

@@ -261,6 +261,54 @@ func TestServeBodyTooLarge(t *testing.T) {
 	}
 }
 
+// TestServeConcurrentBinaryIngestExact: producers post binary batches in
+// parallel, so pooled batch buffers cycle between handlers and the ingest
+// loop while earlier batches are still queued (run under -race). With
+// capacity above the edge count the sample must hold every edge exactly
+// once: a buffer reused before ProcessBatch copied it would show up as
+// lost or repeated edges and wrong exact counts.
+func TestServeConcurrentBinaryIngestExact(t *testing.T) {
+	const producers, batch = 4, 100
+	edges := gen.ErdosRenyi(300, 4000, 13)
+	truth := exact.Count(graph.BuildStatic(edges))
+	_, ts := newTestServer(t, Config{Capacity: len(edges) + 10, Seed: 5, Shards: 2, QueueDepth: 4})
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for lo := p * batch; lo < len(edges); lo += producers * batch {
+				for {
+					resp := postEdges(t, ts.URL, edges[lo:min(lo+batch, len(edges))], true)
+					code := resp.StatusCode
+					resp.Body.Close()
+					if code == http.StatusAccepted {
+						break
+					}
+					if code != http.StatusServiceUnavailable {
+						t.Errorf("producer %d: ingest status %d", p, code)
+						return
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	flush(t, ts.URL)
+	resp, err := http.Get(ts.URL + "/v1/estimate?max_stale=0s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := decodeJSON[estimateResponse](t, resp)
+	if est.Arrivals != uint64(len(edges)) || est.SampledEdges != len(edges) {
+		t.Fatalf("arrivals=%d sampled=%d, want %d", est.Arrivals, est.SampledEdges, len(edges))
+	}
+	if est.Triangles != float64(truth.Triangles) || est.Wedges != float64(truth.Wedges) {
+		t.Fatalf("estimate (%.0f, %.0f) != exact (%d, %d)", est.Triangles, est.Wedges, truth.Triangles, truth.Wedges)
+	}
+}
+
 // TestServeConcurrentClients runs ingestion and eight query clients in
 // parallel (run under -race). Every estimate must correspond to a batch
 // boundary, and arrivals must be non-decreasing per client (snapshots can

@@ -315,6 +315,7 @@ func (s *Server) metricsPartition() (statsCovered, metricsOnly []string) {
 		"gps_serve_uptime_seconds",           // uptime_ms
 	}
 	metricsOnly = []string{
+		"gps_build_info",
 		"gps_checkpoint_file_bytes",
 		"gps_checkpoint_fsync_seconds",
 		"gps_core_accepts_total",

@@ -217,11 +217,23 @@ func WriteBinary(w io.Writer, edges []graph.Edge) error {
 	return bw.Flush()
 }
 
-// BinaryDecoder incrementally decodes a binary edge stream (either
-// version). Construct with NewBinaryDecoder and call Next until it returns
-// io.EOF.
+// BinaryDecoder incrementally decodes a binary edge stream (any version).
+// Construct with NewBinaryDecoder and call Next until it returns io.EOF, or
+// call AppendEdges once to decode the whole stream into a slice.
+//
+// The decoder keeps its own byte window over the reader and decodes each
+// record straight out of it with slice varint decoding, so a record costs
+// no per-byte interface call. It reads more input only when the window
+// holds an incomplete record: a pipe or an HTTP body yields every complete
+// record without waiting for more bytes, and a reader that returns one
+// byte per Read decodes to the same edges, counts and errors as one that
+// returns everything at once.
 type BinaryDecoder struct {
-	br        *bufio.Reader
+	r      io.Reader
+	buf    []byte // window storage; buf[lo:hi] is read but not yet decoded
+	lo, hi int
+	rerr   error // sticky error of the last Read (io.EOF at end of input)
+
 	started   bool
 	timed     bool
 	dels      bool
@@ -231,28 +243,31 @@ type BinaryDecoder struct {
 	prevTS    uint64
 }
 
+// binaryWindow is the decoder's window size: large enough that a
+// request-sized body takes a few reads (and bufio-backed readers hand
+// reads of this size straight to the socket), far above the 31-byte
+// maximum record.
+const binaryWindow = 32 << 10
+
+// maxEmptyReads bounds consecutive (0, nil) reads before the decoder gives
+// up with io.ErrNoProgress, as bufio does.
+const maxEmptyReads = 100
+
 // NewBinaryDecoder returns a decoder over r. The header is checked on the
-// first Next call.
+// first Next or AppendEdges call.
 func NewBinaryDecoder(r io.Reader) *BinaryDecoder {
-	return &BinaryDecoder{br: bufio.NewReader(r)}
+	return &BinaryDecoder{r: r, buf: make([]byte, binaryWindow)}
 }
 
-// Reset rearms the decoder over a new document, reusing the buffered
-// reader's storage. Every per-document field goes back to its zero state —
-// header expectation, error latch, the timestamp-delta base, and the skip
+// Reset rearms the decoder over a new document, reusing the window's
+// storage. Every per-document field goes back to its zero state — header
+// expectation, error latch, the timestamp-delta base, and the skip
 // statistics (SelfLoops, Count). The statistics reset is load-bearing:
 // skip counts are per-document stream positions (checkpoint stream bindings
 // depend on them), so a decoder reused across documents must not bleed one
 // body's self-loop count into the next.
 func (d *BinaryDecoder) Reset(r io.Reader) {
-	d.br.Reset(r)
-	d.started = false
-	d.timed = false
-	d.dels = false
-	d.err = nil
-	d.count = 0
-	d.selfLoops = 0
-	d.prevTS = 0
+	*d = BinaryDecoder{r: r, buf: d.buf}
 }
 
 // Next returns the next edge in canonical form. It returns io.EOF at a
@@ -260,71 +275,168 @@ func (d *BinaryDecoder) Reset(r io.Reader) {
 // any error the decoder stays in the error state. Self-loop records are
 // skipped and counted (SelfLoops), per the shared reader policy.
 func (d *BinaryDecoder) Next() (graph.Edge, error) {
+	var one [1]graph.Edge
+	if got, err := d.decode(one[:0], 1); len(got) == 0 {
+		return graph.Edge{}, err
+	}
+	return one[0], nil
+}
+
+// AppendEdges decodes every remaining record, appending the edges to dst,
+// and returns the extended slice. A clean end of stream returns a nil
+// error; otherwise the error is the one Next would have returned, and dst
+// holds the edges decoded before it.
+func (d *BinaryDecoder) AppendEdges(dst []graph.Edge) ([]graph.Edge, error) {
+	dst, err := d.decode(dst, -1)
+	if err == io.EOF {
+		err = nil
+	}
+	return dst, err
+}
+
+// decode appends up to max edges (all of them when max < 0) to dst. It
+// returns a nil error only after exactly max edges; otherwise io.EOF at a
+// clean end of stream, or the latched decode error.
+func (d *BinaryDecoder) decode(dst []graph.Edge, max int) ([]graph.Edge, error) {
 	if d.err != nil {
-		return graph.Edge{}, d.err
+		return dst, d.err
 	}
 	if !d.started {
 		if err := d.readHeader(); err != nil {
 			d.err = err
-			return graph.Edge{}, err
+			return dst, err
 		}
 		d.started = true
 	}
-	for {
-		del := false
-		if d.dels {
-			op, err := d.br.ReadByte()
-			if err != nil {
-				if err == io.EOF {
-					return graph.Edge{}, io.EOF // clean end between records
+	for n := 0; n != max; {
+		e, size, err := d.parseRecord(d.buf[d.lo:d.hi])
+		if err != nil {
+			d.err = err
+			return dst, err
+		}
+		if size == 0 {
+			// The window ends inside a record (or is empty): read more.
+			if err := d.fill(); err != nil {
+				if err == io.EOF && d.lo == d.hi {
+					return dst, io.EOF // clean end between records
 				}
 				d.err = fmt.Errorf("stream: binary record %d: %w", d.record(), noEOF(err))
-				return graph.Edge{}, d.err
+				return dst, d.err
 			}
-			switch op {
-			case opInsert:
-			case opDelete:
-				del = true
-			default:
-				d.err = fmt.Errorf("stream: binary record %d: unknown op byte %#02x", d.record(), op)
-				return graph.Edge{}, d.err
-			}
+			continue
 		}
-		u, err := d.readNode(!d.dels)
-		if err != nil {
-			d.err = err
-			return graph.Edge{}, err
-		}
-		v, err := d.readNode(false)
-		if err != nil {
-			d.err = err
-			return graph.Edge{}, err
-		}
-		var ts uint64
-		if d.timed {
-			delta, err := d.readUvarint()
-			if err != nil {
-				d.err = err
-				return graph.Edge{}, err
-			}
-			ts = d.prevTS + delta
-			if ts < d.prevTS {
-				d.err = fmt.Errorf("stream: binary record %d: timestamp overflows uint64", d.record())
-				return graph.Edge{}, d.err
-			}
-			d.prevTS = ts
-		}
-		if u == v {
+		d.lo += size
+		d.prevTS = e.TS
+		if e.U == e.V {
 			d.selfLoops++ // shared self-loop policy: skip and count
 			continue
 		}
 		d.count++
-		e := graph.NewEdgeAt(u, v, ts)
-		if del {
-			e = e.AsDeletion()
+		c := graph.NewEdgeAt(e.U, e.V, e.TS)
+		if e.Del {
+			c = c.AsDeletion()
 		}
-		return e, nil
+		dst = append(dst, c)
+		n++
 	}
+	return dst, nil
+}
+
+// parseRecord decodes the record at the head of b, returning it raw (not
+// canonicalized, TS absolute) with its size in bytes. Size 0 means b ends
+// inside the record and more input is needed; a record that is malformed
+// by the bytes already present is an error even if it is incomplete.
+func (d *BinaryDecoder) parseRecord(b []byte) (e graph.Edge, size int, err error) {
+	i := 0
+	if d.dels {
+		if len(b) == 0 {
+			return e, 0, nil
+		}
+		switch b[0] {
+		case opInsert:
+		case opDelete:
+			e.Del = true
+		default:
+			return e, 0, fmt.Errorf("stream: binary record %d: unknown op byte %#02x", d.record(), b[0])
+		}
+		i = 1
+	}
+	u, n := binary.Uvarint(b[i:])
+	if n <= 0 {
+		return e, 0, d.varintErr(b[i:], n)
+	}
+	i += n
+	if u > 0xffffffff {
+		return e, 0, fmt.Errorf("stream: binary record %d: node id %d exceeds uint32", d.record(), u)
+	}
+	v, n := binary.Uvarint(b[i:])
+	if n <= 0 {
+		return e, 0, d.varintErr(b[i:], n)
+	}
+	i += n
+	if v > 0xffffffff {
+		return e, 0, fmt.Errorf("stream: binary record %d: node id %d exceeds uint32", d.record(), v)
+	}
+	e.U, e.V, e.TS = graph.NodeID(u), graph.NodeID(v), d.prevTS
+	if d.timed {
+		delta, n := binary.Uvarint(b[i:])
+		if n <= 0 {
+			return e, 0, d.varintErr(b[i:], n)
+		}
+		i += n
+		e.TS += delta
+		if e.TS < d.prevTS {
+			return e, 0, fmt.Errorf("stream: binary record %d: timestamp overflows uint64", d.record())
+		}
+	}
+	return e, i, nil
+}
+
+// varintErr classifies a binary.Uvarint result n <= 0 at the head of b:
+// nil when b merely ends inside the varint (more input is needed), an
+// overflow error otherwise. Ten bytes that do not terminate overflow
+// uint64 whether or not more follow, as in binary.ReadUvarint.
+func (d *BinaryDecoder) varintErr(b []byte, n int) error {
+	if n == 0 && len(b) < binary.MaxVarintLen64 {
+		return nil
+	}
+	return fmt.Errorf("stream: binary record %d: binary: varint overflows a 64-bit integer", d.record())
+}
+
+// fill compacts the window and reads more input into it. It returns nil
+// once at least one byte arrived, and otherwise the reader's error (sticky:
+// a reader that has failed or ended is not read again).
+func (d *BinaryDecoder) fill() error {
+	if d.rerr != nil {
+		return d.rerr
+	}
+	d.hi = copy(d.buf, d.buf[d.lo:d.hi])
+	d.lo = 0
+	for range maxEmptyReads {
+		n, err := d.r.Read(d.buf[d.hi:])
+		d.hi += n
+		if err != nil {
+			d.rerr = err
+		}
+		if n > 0 {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+	d.rerr = io.ErrNoProgress
+	return d.rerr
+}
+
+// need reads until the window holds at least k bytes.
+func (d *BinaryDecoder) need(k int) error {
+	for d.hi-d.lo < k {
+		if err := d.fill(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Count returns the number of edges decoded so far (self loops excluded).
@@ -337,20 +449,28 @@ func (d *BinaryDecoder) SelfLoops() int { return d.selfLoops }
 // messages: every consumed record, skipped self loops included.
 func (d *BinaryDecoder) record() int { return d.count + d.selfLoops }
 
+// readHeader checks the magic, version and flags. It is the head of the
+// binary reader, so the stream.decode fault point fires here: once per
+// document, before any byte is consumed.
 func (d *BinaryDecoder) readHeader() error {
-	hdr := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(d.br, hdr); err != nil {
+	if err := hitDecodeFault(); err != nil {
+		return err
+	}
+	if err := d.need(len(binaryMagic)); err != nil {
 		return fmt.Errorf("stream: binary header: %w", noEOF(err))
 	}
+	hdr := d.buf[d.lo : d.lo+len(binaryMagic)]
 	if string(hdr[:4]) != binaryMagic[:4] {
 		return errors.New("stream: not a binary edge stream (bad magic)")
 	}
-	switch hdr[4] {
+	version := hdr[4]
+	d.lo += len(binaryMagic)
+	switch version {
 	case binaryMagic[4]: // v1: bare records follow
 	case binaryMagicV2[4]: // v2: a flags byte precedes the records
-		flags, err := d.br.ReadByte()
+		flags, err := d.readFlags()
 		if err != nil {
-			return fmt.Errorf("stream: binary header: %w", noEOF(err))
+			return err
 		}
 		if flags&binaryFlagDeletions != 0 {
 			// Typed rejection: decoding a turnstile stream as v2 would turn
@@ -362,9 +482,9 @@ func (d *BinaryDecoder) readHeader() error {
 		}
 		d.timed = flags&binaryFlagTimestamps != 0
 	case binaryMagicV3[4]: // v3: flags byte, records lead with an op byte
-		flags, err := d.br.ReadByte()
+		flags, err := d.readFlags()
 		if err != nil {
-			return fmt.Errorf("stream: binary header: %w", noEOF(err))
+			return err
 		}
 		if flags&^byte(binaryFlagTimestamps|binaryFlagDeletions) != 0 {
 			return fmt.Errorf("stream: unsupported binary stream flags %#02x", flags)
@@ -375,36 +495,29 @@ func (d *BinaryDecoder) readHeader() error {
 		d.timed = flags&binaryFlagTimestamps != 0
 		d.dels = true
 	default:
-		return fmt.Errorf("stream: unsupported binary edge stream version %d", hdr[4])
+		return fmt.Errorf("stream: unsupported binary edge stream version %d", version)
 	}
 	return nil
 }
 
-// readNode decodes one uvarint node id. A clean EOF before the first byte
-// of a record is the end of the stream (io.EOF); anywhere else it is a
-// truncation error.
-func (d *BinaryDecoder) readNode(firstOfRecord bool) (graph.NodeID, error) {
-	x, err := binary.ReadUvarint(d.br)
-	if err != nil {
-		if err == io.EOF && firstOfRecord {
-			return 0, io.EOF
-		}
-		return 0, fmt.Errorf("stream: binary record %d: %w", d.record(), noEOF(err))
+// readFlags consumes the v2/v3 header's flags byte.
+func (d *BinaryDecoder) readFlags() (byte, error) {
+	if err := d.need(1); err != nil {
+		return 0, fmt.Errorf("stream: binary header: %w", noEOF(err))
 	}
-	if x > 0xffffffff {
-		return 0, fmt.Errorf("stream: binary record %d: node id %d exceeds uint32", d.record(), x)
-	}
-	return graph.NodeID(x), nil
+	d.lo++
+	return d.buf[d.lo-1], nil
 }
 
-// readUvarint decodes a mid-record uvarint (the timestamp delta); EOF here
-// is always a truncation.
-func (d *BinaryDecoder) readUvarint() (uint64, error) {
-	x, err := binary.ReadUvarint(d.br)
-	if err != nil {
-		return 0, fmt.Errorf("stream: binary record %d: %w", d.record(), noEOF(err))
+// hitDecodeFault is the stream.decode fault point, hit at the head of the
+// text and the binary reader. Sniffing picks one of the two, so a document
+// hits it exactly once whichever way it is read. An injected error maps to
+// the same client-visible 4xx a malformed body produces.
+func hitDecodeFault() error {
+	if fault.Enabled() {
+		return fault.Hit(fault.StreamDecode)
 	}
-	return x, nil
+	return nil
 }
 
 // noEOF maps a bare io.EOF to io.ErrUnexpectedEOF so truncation inside a
@@ -425,17 +538,11 @@ func ReadBinary(r io.Reader) ([]graph.Edge, error) {
 // ReadBinaryStats is ReadBinary also reporting what was skipped.
 func ReadBinaryStats(r io.Reader) ([]graph.Edge, ReadStats, error) {
 	d := NewBinaryDecoder(r)
-	var edges []graph.Edge
-	for {
-		e, err := d.Next()
-		if err == io.EOF {
-			return edges, ReadStats{SelfLoops: d.SelfLoops()}, nil
-		}
-		if err != nil {
-			return nil, ReadStats{SelfLoops: d.SelfLoops()}, err
-		}
-		edges = append(edges, e)
+	edges, err := d.AppendEdges(nil)
+	if err != nil {
+		return nil, ReadStats{SelfLoops: d.SelfLoops()}, err
 	}
+	return edges, ReadStats{SelfLoops: d.SelfLoops()}, nil
 }
 
 // SniffBinary reports whether the reader starts with the binary edge-stream
@@ -456,13 +563,6 @@ func ReadEdges(r io.Reader) ([]graph.Edge, error) {
 
 // ReadEdgesStats is ReadEdges also reporting what was skipped.
 func ReadEdgesStats(r io.Reader) ([]graph.Edge, ReadStats, error) {
-	if fault.Enabled() {
-		// Before any byte is consumed: an injected decode error maps to the
-		// same client-visible 4xx a malformed body produces.
-		if err := fault.Hit(fault.StreamDecode); err != nil {
-			return nil, ReadStats{}, err
-		}
-	}
 	rr, isBinary := SniffBinary(r)
 	if isBinary {
 		return ReadBinaryStats(rr)

@@ -5,10 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"gps/internal/graph"
+	"gps/internal/randx"
 )
 
 func sampleEdges() []graph.Edge {
@@ -64,7 +67,7 @@ func TestBinaryDecoderIncremental(t *testing.T) {
 	}
 	// Feed the decoder through a one-byte-at-a-time reader: records must
 	// decode incrementally regardless of read chunking.
-	d := NewBinaryDecoder(iotest{r: bytes.NewReader(buf.Bytes())})
+	d := NewBinaryDecoder(iotest.OneByteReader(bytes.NewReader(buf.Bytes())))
 	for i := 0; ; i++ {
 		e, err := d.Next()
 		if err == io.EOF {
@@ -83,16 +86,6 @@ func TestBinaryDecoderIncremental(t *testing.T) {
 	if d.Count() != len(edges) {
 		t.Fatalf("decoder count = %d, want %d", d.Count(), len(edges))
 	}
-}
-
-// iotest returns at most one byte per Read.
-type iotest struct{ r io.Reader }
-
-func (o iotest) Read(p []byte) (int, error) {
-	if len(p) > 1 {
-		p = p[:1]
-	}
-	return o.r.Read(p)
 }
 
 func TestBinaryDecoderErrors(t *testing.T) {
@@ -400,5 +393,40 @@ func TestReadEdgesSniffsFormat(t *testing.T) {
 				t.Fatalf("%s: edge %d: %v, want %v", name, i, got[i], edges[i])
 			}
 		}
+	}
+}
+
+// TestBinaryDecoderReuseAllocs pins the server's ingest decode: an
+// 8192-edge body decoded into a reused buffer through a reset decoder
+// allocates nothing — no window, no per-record error or edge storage.
+func TestBinaryDecoderReuseAllocs(t *testing.T) {
+	rng := randx.New(11)
+	edges := make([]graph.Edge, 0, 8192)
+	for len(edges) < cap(edges) {
+		u, v := graph.NodeID(rng.Uint64n(1<<20)), graph.NodeID(rng.Uint64n(1<<20))
+		if u != v {
+			edges = append(edges, graph.NewEdge(u, v))
+		}
+	}
+	var body bytes.Buffer
+	if err := WriteBinary(&body, edges); err != nil {
+		t.Fatal(err)
+	}
+	d := NewBinaryDecoder(nil)
+	r := bytes.NewReader(nil)
+	buf := make([]graph.Edge, 0, len(edges))
+	allocs := testing.AllocsPerRun(20, func() {
+		r.Reset(body.Bytes())
+		d.Reset(r)
+		var err error
+		if buf, err = d.AppendEdges(buf[:0]); err != nil || len(buf) != len(edges) {
+			t.Fatalf("decoded %d edges, err %v; want %d", len(buf), err, len(edges))
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("reused decode allocates %.1f times per body, want 0", allocs)
+	}
+	if !slices.Equal(buf, edges) {
+		t.Fatal("reused decode changed the edges")
 	}
 }

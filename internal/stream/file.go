@@ -43,6 +43,9 @@ func ReadEdgeList(r io.Reader) ([]graph.Edge, error) {
 func ReadEdgeListStats(r io.Reader) ([]graph.Edge, ReadStats, error) {
 	var edges []graph.Edge
 	var st ReadStats
+	if err := hitDecodeFault(); err != nil {
+		return nil, st, err
+	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), maxLineBytes)
 	line := 0

@@ -2,18 +2,25 @@ package stream
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"gps/internal/graph"
 )
 
-// FuzzBinaryDecoder exercises the binary edge-frame decoder (both framing
-// versions) with arbitrary input: it must never panic, anything it accepts
-// must be canonical, timestamp-preserving under a write/read round trip,
-// and it must never allocate more edges than the input can physically
+// FuzzBinaryDecoder exercises the binary edge-frame decoder (all three
+// framing versions) with arbitrary input: it must never panic, anything it
+// accepts must be canonical, timestamp-preserving under a write/read round
+// trip, and it must never allocate more edges than the input can physically
 // encode (each record is at least two bytes, so acceptance bounds the
-// output size).
+// output size). Every input is also decoded through a one-byte and a
+// half-size reader, which force window refills at every byte boundary:
+// the edges, Count, SelfLoops and the error (message included) must not
+// depend on how the input is chunked.
 func FuzzBinaryDecoder(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Add([]byte(binaryMagic))
@@ -56,7 +63,25 @@ func FuzzBinaryDecoder(f *testing.F) {
 		}
 	}()
 	f.Fuzz(func(t *testing.T, input []byte) {
-		edges, err := ReadBinary(bytes.NewReader(input))
+		decode := func(r io.Reader) ([]graph.Edge, *BinaryDecoder, error) {
+			d := NewBinaryDecoder(r)
+			edges, err := d.AppendEdges(nil)
+			return edges, d, err
+		}
+		edges, d, err := decode(bytes.NewReader(input))
+		for name, r := range map[string]io.Reader{
+			"one-byte":  iotest.OneByteReader(bytes.NewReader(input)),
+			"half-read": iotest.HalfReader(bytes.NewReader(input)),
+		} {
+			got, gd, gerr := decode(r)
+			if fmt.Sprint(gerr) != fmt.Sprint(err) {
+				t.Fatalf("%s reader: err %v, whole-input reader: %v", name, gerr, err)
+			}
+			if !slices.Equal(got, edges) || gd.Count() != d.Count() || gd.SelfLoops() != d.SelfLoops() {
+				t.Fatalf("%s reader: %d edges (count %d, self loops %d), whole-input reader: %d (count %d, self loops %d)",
+					name, len(got), gd.Count(), gd.SelfLoops(), len(edges), d.Count(), d.SelfLoops())
+			}
+		}
 		if err != nil {
 			return
 		}
